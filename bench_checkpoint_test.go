@@ -24,7 +24,7 @@ func benchWarmChip(b *testing.B) (Config, *chip.Chip) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return cfg, warmChip(cfg, w, 1, Quick.Warmup)
+	return cfg, warmChip(cfg, w, Quick.Warmup)
 }
 
 // BenchmarkCheckpointSnapshot prices one full-chip snapshot; ckpt-bytes

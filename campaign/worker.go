@@ -15,12 +15,6 @@ type Options struct {
 	// Workers bounds the points measured concurrently (nocout.Runner
 	// semantics; <= 0 means all CPUs).
 	Workers int
-	// SimParallelism shards each point's simulation across this many
-	// concurrently stepping domains (nocout.Sweep.SimDomains). It is an
-	// execution knob of this worker only — results and the campaign's
-	// content keys are identical for any value, so workers at different
-	// parallelism cooperate on one campaign freely.
-	SimParallelism int
 	// Owner is this worker's lease identity; "" means DefaultOwner()
 	// (hostname-pid). It must be unique among cooperating workers.
 	Owner string
@@ -125,7 +119,6 @@ func (c *Campaign) Work(ctx context.Context, opts Options) (Stats, error) {
 	}
 
 	sw := c.sw
-	sw.SimDomains = opts.SimParallelism
 	stats := Stats{Points: sw.Len()}
 	for {
 		rn := &nocout.Runner{

@@ -35,8 +35,8 @@ import (
 // key covers: anything exercised during warmup — including an open-system
 // workload's offered load, whose arrivals drive the cores while they warm
 // — is part of the prefix, while pure measurement knobs (the window
-// length, the seed *count*, sim-parallelism) are not. Points differing
-// only in those knobs share one warm state.
+// length, the seed *count*) are not. Points differing only in those
+// knobs share one warm state.
 
 // CheckpointKeyVersion prefixes every PrefixKey; it names the key schema
 // and bumps whenever the hashed content, the canonicalization, or the
@@ -80,9 +80,9 @@ func checkpointKey(cfg Config, w workload.Workload, warmup sim.Cycle) (string, e
 // PrefixKey returns the canonical identity of the warm state seed index
 // seedIdx of this point starts measuring from: "ck1-" plus 64 hex digits,
 // covering the resolved Config (with the derived seed), the workload
-// fingerprint, and q.Warmup. The measurement window, the seed count, and
-// sim-parallelism are deliberately outside the key — points differing
-// only there share a checkpoint — while anything the warmup executes
+// fingerprint, and q.Warmup. The measurement window and the seed count
+// are deliberately outside the key — points differing only there share
+// a checkpoint — while anything the warmup executes
 // (offered load included) is inside it. Like Point.Key, it errors when
 // the point's workload cannot be resolved in this process.
 func (p Point) PrefixKey(q Quality, seedIdx int) (string, error) {
@@ -161,26 +161,26 @@ func (s *CheckpointStore) count(c *int64) {
 	s.mu.Unlock()
 }
 
-// chipFor returns a chip at the measurement boundary for (cfg, w) under
-// domains-way sim-parallelism: restored from the cache when the prefix is
+// chipFor returns a chip at the measurement boundary for (cfg, w):
+// restored from the cache when the prefix is
 // stored, otherwise warmed the ordinary way (PrewarmCaches + Warmup) and
 // snapshotted into the cache for every later point of the group. All
 // cache failures degrade to the ordinary path — a checkpointed run never
 // fails for cache reasons, it just re-warms.
-func (s *CheckpointStore) chipFor(cfg Config, w workload.Workload, domains int, warmup sim.Cycle) *chip.Chip {
+func (s *CheckpointStore) chipFor(cfg Config, w workload.Workload, warmup sim.Cycle) *chip.Chip {
 	key, err := checkpointKey(cfg, w, warmup)
 	if err != nil {
 		// No stable fingerprint (an unregistered user workload): warm
 		// without caching.
 		s.count(&s.unkeyed)
-		return warmChip(cfg, w, domains, warmup)
+		return warmChip(cfg, w, warmup)
 	}
 	lk := s.keyLock(key)
 	lk.Lock()
 	defer lk.Unlock()
 
 	if !s.Recompute {
-		if c := s.tryRestore(key, cfg, w, domains); c != nil {
+		if c := s.tryRestore(key, cfg, w); c != nil {
 			s.count(&s.hits)
 			return c
 		}
@@ -195,7 +195,7 @@ func (s *CheckpointStore) chipFor(cfg Config, w workload.Workload, domains int, 
 	if lerr == nil && !ok && !s.Recompute {
 		// Another process is warming this prefix right now: give its
 		// entry a moment to land before burning the cycles locally.
-		if c := s.awaitEntry(key, cfg, w, domains); c != nil {
+		if c := s.awaitEntry(key, cfg, w); c != nil {
 			s.mu.Lock()
 			s.misses--
 			s.hits++
@@ -203,7 +203,7 @@ func (s *CheckpointStore) chipFor(cfg Config, w workload.Workload, domains int, 
 			return c
 		}
 	}
-	c := warmChip(cfg, w, domains, warmup)
+	c := warmChip(cfg, w, warmup)
 	if lerr == nil && ok {
 		var buf bytes.Buffer
 		if err := c.Snapshot(&buf); err == nil {
@@ -218,12 +218,12 @@ func (s *CheckpointStore) chipFor(cfg Config, w workload.Workload, domains int, 
 // tryRestore restores key into a fresh chip; any failure — missing,
 // truncated, corrupt, or mismatched entry — is a miss (the subsequent
 // store self-heals the file).
-func (s *CheckpointStore) tryRestore(key string, cfg Config, w workload.Workload, domains int) *chip.Chip {
+func (s *CheckpointStore) tryRestore(key string, cfg Config, w workload.Workload) *chip.Chip {
 	data, err := os.ReadFile(s.path(key))
 	if err != nil {
 		return nil
 	}
-	c, err := chip.Restore(cfg, w, domains, bytes.NewReader(data))
+	c, err := chip.Restore(cfg, w, 1, bytes.NewReader(data))
 	if err != nil {
 		return nil
 	}
@@ -233,13 +233,13 @@ func (s *CheckpointStore) tryRestore(key string, cfg Config, w workload.Workload
 // awaitEntry polls briefly for a prefix another process holds the lease
 // on. Bounded well under the lease TTL: if the producer is slow, warming
 // locally is always correct.
-func (s *CheckpointStore) awaitEntry(key string, cfg Config, w workload.Workload, domains int) *chip.Chip {
+func (s *CheckpointStore) awaitEntry(key string, cfg Config, w workload.Workload) *chip.Chip {
 	const (
 		wait = 10 * time.Second
 		poll = 100 * time.Millisecond
 	)
 	for deadline := time.Now().Add(wait); time.Now().Before(deadline); time.Sleep(poll) {
-		if c := s.tryRestore(key, cfg, w, domains); c != nil {
+		if c := s.tryRestore(key, cfg, w); c != nil {
 			return c
 		}
 	}
@@ -248,8 +248,8 @@ func (s *CheckpointStore) awaitEntry(key string, cfg Config, w workload.Workload
 
 // warmChip is the ordinary warm-state construction every measurement uses
 // when no checkpoint is available: build, prewarm, warm up.
-func warmChip(cfg Config, w workload.Workload, domains int, warmup sim.Cycle) *chip.Chip {
-	c := chip.NewSharded(cfg, w, domains)
+func warmChip(cfg Config, w workload.Workload, warmup sim.Cycle) *chip.Chip {
+	c := chip.New(cfg, w)
 	c.PrewarmCaches()
 	c.Warmup(warmup)
 	return c

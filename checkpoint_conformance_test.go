@@ -15,17 +15,16 @@ import (
 // restored from a post-warmup snapshot must be indistinguishable from the
 // donor — StateHash-equal at the snapshot cycle, then cycle-for-cycle
 // bit-identical through the measurement window, for every registered
-// design, every hierarchy, and any domain count on either side of the
-// snapshot. It is the same discipline the kernel conformance suites apply
-// to scheduled-vs-naive and sharded-vs-scheduled, extended across a
+// design and every hierarchy. It is the same discipline the kernel
+// conformance suite applies to scheduled-vs-naive, extended across a
 // serialize/deserialize boundary.
 
 // warmSnapshot builds a chip, warms it like Run does, snapshots it, and
 // returns the donor (still runnable) plus the container bytes and the
 // donor's state hash at the snapshot cycle.
-func warmSnapshot(t *testing.T, cfg Config, w workload.Workload, domains int, warmup sim.Cycle) (*chip.Chip, []byte, uint64) {
+func warmSnapshot(t *testing.T, cfg Config, w workload.Workload, warmup sim.Cycle) (*chip.Chip, []byte, uint64) {
 	t.Helper()
-	c := chip.NewSharded(cfg, w, domains)
+	c := chip.New(cfg, w)
 	c.PrewarmCaches()
 	c.Warmup(warmup)
 	var buf bytes.Buffer
@@ -35,17 +34,17 @@ func warmSnapshot(t *testing.T, cfg Config, w workload.Workload, domains int, wa
 	return c, buf.Bytes(), c.StateHash()
 }
 
-// verifyRestore restores the snapshot under the given domain count and
-// checks hash equality at the snapshot cycle, then lockstep bit-identity
-// against the donor through window cycles, then final Metrics.
-func verifyRestore(t *testing.T, donor *chip.Chip, snap []byte, cfg Config, w workload.Workload, domains int, window sim.Cycle) {
+// verifyRestore restores the snapshot and checks hash equality at the
+// snapshot cycle, then lockstep bit-identity against the donor through
+// window cycles, then final Metrics.
+func verifyRestore(t *testing.T, donor *chip.Chip, snap []byte, cfg Config, w workload.Workload, window sim.Cycle) {
 	t.Helper()
-	r, err := chip.Restore(cfg, w, domains, bytes.NewReader(snap))
+	r, err := chip.Restore(cfg, w, 1, bytes.NewReader(snap))
 	if err != nil {
 		t.Fatalf("restore: %v", err)
 	}
 	if hd, hr := donor.StateHash(), r.StateHash(); hd != hr {
-		t.Fatalf("restored hash %#x != donor hash %#x at snapshot cycle %d", hr, hd, donor.NowCycle())
+		t.Fatalf("restored hash %#x != donor hash %#x at snapshot cycle %d", hr, hd, donor.Engine.Now())
 	}
 	for cy := sim.Cycle(1); cy <= window; cy++ {
 		donor.Run(1)
@@ -75,8 +74,8 @@ func TestCheckpointDesignConformance(t *testing.T) {
 			for _, n := range []int{16, 64} {
 				cfg := DefaultConfig(d)
 				cfg.Cores = n
-				donor, snap, _ := warmSnapshot(t, cfg, w, 1, confQ.Warmup)
-				verifyRestore(t, donor, snap, cfg, w, 1, confQ.Window)
+				donor, snap, _ := warmSnapshot(t, cfg, w, confQ.Warmup)
+				verifyRestore(t, donor, snap, cfg, w, confQ.Window)
 			}
 		})
 	}
@@ -97,47 +96,8 @@ func TestCheckpointHierarchyConformance(t *testing.T) {
 				cfg := DefaultConfig(Mesh)
 				cfg.Cores = n
 				cfg.Hierarchy = h
-				donor, snap, _ := warmSnapshot(t, cfg, w, 1, confQ.Warmup)
-				verifyRestore(t, donor, snap, cfg, w, 1, confQ.Window)
-			}
-		})
-	}
-}
-
-// TestCheckpointShardedConformance: checkpoints are domain-count-agnostic.
-// A snapshot taken under one sim-parallelism setting restores bit-identically
-// under every other, on both a router-network design and NOC-Out.
-func TestCheckpointShardedConformance(t *testing.T) {
-	w, err := workload.Parse("Data Serving")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range []Design{Mesh, NOCOut} {
-		d := d
-		t.Run(d.String(), func(t *testing.T) {
-			t.Parallel()
-			cfg := DefaultConfig(d)
-			cfg.Cores = 16
-			for _, snapDomains := range []int{1, 4} {
-				donor, snap, snapHash := warmSnapshot(t, cfg, w, snapDomains, confQ.Warmup)
-				donor.Run(confQ.Window)
-				endHash, endMetrics := donor.StateHash(), donor.Metrics()
-				for _, domains := range []int{1, 2, 4, 8} {
-					r, err := chip.Restore(cfg, w, domains, bytes.NewReader(snap))
-					if err != nil {
-						t.Fatalf("restore into %d domains: %v", domains, err)
-					}
-					if hr := r.StateHash(); hr != snapHash {
-						t.Fatalf("snap@%d restore@%d: hash %#x != donor %#x", snapDomains, domains, hr, snapHash)
-					}
-					r.Run(confQ.Window)
-					if hr := r.StateHash(); hr != endHash {
-						t.Fatalf("snap@%d restore@%d: end hash %#x != donor %#x", snapDomains, domains, hr, endHash)
-					}
-					if mr := r.Metrics(); !reflect.DeepEqual(endMetrics, mr) {
-						t.Fatalf("snap@%d restore@%d: metrics diverged:\ndonor    %+v\nrestored %+v", snapDomains, domains, endMetrics, mr)
-					}
-				}
+				donor, snap, _ := warmSnapshot(t, cfg, w, confQ.Warmup)
+				verifyRestore(t, donor, snap, cfg, w, confQ.Window)
 			}
 		})
 	}
@@ -175,8 +135,8 @@ func TestCheckpointNOC3TraceConformance(t *testing.T) {
 		{"noc3", mustLoadTrace(t, noc3)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			donor, snap, _ := warmSnapshot(t, cfg, tc.w, 1, confQ.Warmup)
-			verifyRestore(t, donor, snap, cfg, tc.w, 1, confQ.Window)
+			donor, snap, _ := warmSnapshot(t, cfg, tc.w, confQ.Warmup)
+			verifyRestore(t, donor, snap, cfg, tc.w, confQ.Window)
 		})
 	}
 }
@@ -200,8 +160,8 @@ func TestCheckpointOpenSystemConformance(t *testing.T) {
 	}
 	cfg := DefaultConfig(Mesh)
 	cfg.Cores = 16
-	donor, snap, _ := warmSnapshot(t, cfg, w, 1, confQ.Warmup)
-	verifyRestore(t, donor, snap, cfg, w, 1, confQ.Window)
+	donor, snap, _ := warmSnapshot(t, cfg, w, confQ.Warmup)
+	verifyRestore(t, donor, snap, cfg, w, confQ.Window)
 }
 
 // TestCheckpointRejectsMismatchedSystem: a snapshot only restores into the
@@ -213,7 +173,7 @@ func TestCheckpointRejectsMismatchedSystem(t *testing.T) {
 	}
 	cfg := DefaultConfig(Mesh)
 	cfg.Cores = 16
-	_, snap, _ := warmSnapshot(t, cfg, w, 1, 500)
+	_, snap, _ := warmSnapshot(t, cfg, w, 500)
 
 	bad := cfg
 	bad.Cores = 32
@@ -230,6 +190,9 @@ func TestCheckpointRejectsMismatchedSystem(t *testing.T) {
 	if _, err := chip.Restore(bad, w, 1, bytes.NewReader(snap)); err == nil {
 		t.Fatal("restore into a different design must fail")
 	}
+	if _, err := chip.Restore(cfg, w, 4, bytes.NewReader(snap)); err == nil {
+		t.Fatal("restore into 4 domains must fail")
+	}
 }
 
 // TestCheckpointTruncationRejected: every strict prefix of a valid
@@ -241,7 +204,7 @@ func TestCheckpointTruncationRejected(t *testing.T) {
 	}
 	cfg := DefaultConfig(Mesh)
 	cfg.Cores = 16
-	_, snap, _ := warmSnapshot(t, cfg, w, 1, 500)
+	_, snap, _ := warmSnapshot(t, cfg, w, 500)
 
 	for _, cut := range []int{0, 1, 4, len(snap) / 2, len(snap) - 1} {
 		if _, err := chip.Restore(cfg, w, 1, bytes.NewReader(snap[:cut])); err == nil {

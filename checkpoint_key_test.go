@@ -24,9 +24,7 @@ func TestPrefixKeyGolden(t *testing.T) {
 // TestPrefixKeySensitivity checks the key's coverage boundary both ways:
 // everything the warmup executes flips the key; pure measurement knobs —
 // the window length and the seed count — do not, so points differing
-// only there share one warm state. (Sim-parallelism is structurally
-// outside the key too: it is a Sweep execution knob, not part of the
-// Point or Quality, and checkpoints are domain-count-agnostic.)
+// only there share one warm state.
 func TestPrefixKeySensitivity(t *testing.T) {
 	base := goldenPoint()
 	baseKey, err := base.PrefixKey(tiny, 0)

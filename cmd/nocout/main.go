@@ -99,7 +99,6 @@ func run() error {
 	recomputeCkpts := flag.Bool("recompute-checkpoints", false, "with -checkpoint-dir, ignore stored warm states and re-produce them")
 	listCkpts := flag.Bool("list-checkpoints", false, "with -checkpoint-dir, list the stored checkpoints and exit")
 	keepGoing := flag.Bool("keep-going", false, "record per-point errors in the report instead of aborting the sweep on the first failure")
-	simParallel := flag.Int("sim-parallel", 1, "shard each simulation across N concurrently stepping tile-group domains; results are bit-identical for any N (see EXPERIMENTS.md)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file (pprof evidence for perf PRs)")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
@@ -391,9 +390,6 @@ func run() error {
 		opts = append(opts, nocout.WithVariant(d.String(), cfg))
 	}
 
-	if *simParallel > 1 {
-		opts = append(opts, nocout.WithSimParallelism(*simParallel))
-	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	exp := nocout.NewExperiment(opts...)
@@ -403,7 +399,6 @@ func run() error {
 			Owner:                *campaignWorker,
 			LeaseTTL:             *leaseTTL,
 			Recompute:            *recompute,
-			SimParallelism:       *simParallel,
 			CheckpointDir:        *checkpointDir,
 			RecomputeCheckpoints: *recomputeCkpts,
 		}, *jsonOut, *csvOut)

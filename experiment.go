@@ -71,14 +71,6 @@ type Sweep struct {
 	Title   string
 	Quality Quality
 	Points  []Point
-
-	// SimDomains shards each point's simulation across this many
-	// concurrently stepping tile-group domains (chip.NewSharded);
-	// <= 1 runs the classic single-goroutine kernel. It is an execution
-	// knob, not part of the sweep's identity: results are bit-identical
-	// for any value, so it is deliberately excluded from Point.Key and
-	// campaign manifests — a cached result is valid at any parallelism.
-	SimDomains int
 }
 
 // Len returns the number of points.
@@ -105,7 +97,6 @@ type Experiment struct {
 	quality      Quality
 	seed         *uint64
 	unlimited    bool
-	simDomains   int
 	configure    func(*Config, Point)
 	ckptDir      string
 }
@@ -188,16 +179,6 @@ func WithCoreCounts(ns ...int) Option {
 // variant's Config says otherwise).
 func WithHierarchies(hs ...HierarchyID) Option {
 	return func(e *Experiment) { e.hierarchies = append(e.hierarchies, hs...) }
-}
-
-// WithSimParallelism shards every simulation of the experiment across n
-// concurrently stepping tile-group domains (the conservative parallel
-// kernel). Results are bit-identical for any n; only wall-clock time
-// changes. The Runner arbitrates n against its worker pool so workers ×
-// domains never oversubscribes GOMAXPROCS. n <= 1 keeps the
-// single-goroutine kernel.
-func WithSimParallelism(n int) Option {
-	return func(e *Experiment) { e.simDomains = n }
 }
 
 // WithCheckpoints caches warm state in the checkpoint store at dir:
@@ -311,7 +292,7 @@ func (e *Experiment) Sweep() (Sweep, error) {
 		counts = []int{0}
 	}
 
-	sw := Sweep{Title: e.title, Quality: e.quality, SimDomains: e.simDomains}
+	sw := Sweep{Title: e.title, Quality: e.quality}
 	seen := make(map[string]bool)
 	for _, v := range variants {
 		for _, w := range wls {

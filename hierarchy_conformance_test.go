@@ -39,8 +39,7 @@ func TestHierarchyRegistryComplete(t *testing.T) {
 // requirement: the refactored generic chip, built with the baseline
 // hierarchy on a 16-tile mesh, reproduces the pre-refactor code's state
 // hash cycle for cycle. The constants were recaptured when the shared
-// packet-id counter left the digest (per-agent ids for the sharded
-// kernel); behavioural identity with the seed is still pinned float-for-
+// packet-id counter left the digest (per-agent ids); behavioural identity with the seed is still pinned float-for-
 // float by TestSharedNUCAQuickBitIdentical below.
 func TestSharedNUCAStateHashIdentical(t *testing.T) {
 	w, err := workload.Parse("MapReduce-C")

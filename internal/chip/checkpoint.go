@@ -19,12 +19,6 @@ import (
 // zeroed through the same resetMeasurementStats path Warmup uses, so a
 // chip restored from a post-Warmup snapshot has a StateHash equal to the
 // donor's and executes cycle-for-cycle bit-identically thereafter.
-//
-// Checkpoints are domain-count-agnostic: pipe state is serialized in
-// consumer-visible order (staged cross-domain entries included), so a
-// snapshot taken under one sim-parallelism setting restores under any
-// other. Sharded donors snapshot at horizon barriers (between Steps),
-// which is the only time their state is globally consistent.
 
 // Section kinds of a chip checkpoint container.
 const (
@@ -78,8 +72,7 @@ func (c *Chip) netState() (netSaver, error) {
 }
 
 // Snapshot writes the chip's complete behavioral state to w. The chip
-// must be between steps (sharded chips: at a horizon barrier, which
-// Warmup/Run always end on). Measurement statistics are not part of a
+// must be between steps. Measurement statistics are not part of a
 // snapshot — Restore re-zeroes them — so Snapshot is meant for the
 // measurement boundary right after Warmup.
 func (c *Chip) Snapshot(w io.Writer) error {
@@ -90,13 +83,13 @@ func (c *Chip) Snapshot(w io.Writer) error {
 	// Settle every component's lazy accounting at the snapshot cycle, so
 	// each serialized lastSeen equals the snapshot cycle and the restored
 	// chip's first (re-armed) tick replays no catch-up window.
-	c.FlushAll()
+	c.Engine.Flush()
 
 	cw := ckpt.NewWriter(w)
 	var e ckpt.Enc
 
 	e.Reset()
-	e.I64(int64(c.NowCycle()))
+	e.I64(int64(c.Engine.Now()))
 	e.U64(uint64(c.Cfg.Design))
 	e.U64(uint64(c.Cfg.Hierarchy))
 	e.Int(c.Cfg.Cores)
@@ -142,18 +135,20 @@ func (c *Chip) Snapshot(w io.Writer) error {
 	return cw.Err()
 }
 
-// Restore builds a chip for (cfg, w, domains) — exactly as NewSharded
-// would — and loads a snapshot into it. The snapshot must come from a
-// chip built with the same config and workload; the domain count is free
-// to differ (checkpoints are kernel-agnostic). The returned chip sits at
-// the donor's snapshot cycle with measurement counters zeroed, ready for
-// Run.
+// Restore builds a chip for (cfg, w) — exactly as New would — and loads a
+// snapshot into it. The snapshot must come from a chip built with the
+// same config and workload. domains must be 1; any other value is an
+// error. The returned chip sits at the donor's snapshot cycle with
+// measurement counters zeroed, ready for Run.
 func Restore(cfg Config, wl workload.Workload, domains int, r io.Reader) (*Chip, error) {
+	if domains != 1 {
+		return nil, fmt.Errorf("chip: restore into %d domains: only 1 is supported", domains)
+	}
 	cont, err := ckpt.Read(r)
 	if err != nil {
 		return nil, err
 	}
-	c := NewSharded(cfg, wl, domains)
+	c := New(cfg, wl)
 	if err := c.loadContainer(cont); err != nil {
 		return nil, err
 	}
@@ -325,10 +320,6 @@ func (c *Chip) loadContainer(cont *ckpt.Container) error {
 	// counters through the same path Warmup uses, then move the clock and
 	// re-arm every component for the cycle after the snapshot.
 	c.resetMeasurementStats()
-	if c.Shard != nil {
-		c.Shard.RestoreAt(cycle)
-	} else {
-		c.Engine.RestoreAt(cycle)
-	}
+	c.Engine.RestoreAt(cycle)
 	return nil
 }

@@ -102,16 +102,6 @@ type Chip struct {
 	// NocNet is set by the NOC-Out organization.
 	NocNet *core.Network
 
-	// Shard is the conservative parallel coordinator when the chip was
-	// built with NewSharded and more than one domain; nil otherwise.
-	// Doms holds the per-domain engines (Doms[0] == Engine). Stepping a
-	// sharded chip must go through Warmup/Run/FlushAll so every domain
-	// advances under the synchronization protocol; Engine remains usable
-	// directly only on single-domain chips.
-	Shard *sim.Sharded
-	Doms  []*sim.Engine
-
-	plan   *noc.ShardPlan
 	pools  []*noc.PacketPool
 	active int
 
@@ -125,16 +115,7 @@ type Chip struct {
 // The design's organization and the memory hierarchy are resolved through
 // their registries; an unregistered design or hierarchy panics, as does a
 // hierarchy that cannot inhabit the organization's fabric.
-func New(cfg Config, w workload.Workload) *Chip { return NewSharded(cfg, w, 1) }
-
-// NewSharded builds the same chip partitioned into domains tile-group
-// domains that step concurrently under the conservative parallel kernel
-// (sim.Sharded). Results are bit-identical to New for any domain count:
-// only wall-clock behaviour differs. domains is clamped to what the fabric
-// supports — router-network organizations shard down to one domain per
-// router; the ideal fabric (one monolithic component) always runs single-
-// domain. domains <= 1 is exactly New.
-func NewSharded(cfg Config, w workload.Workload, domains int) *Chip {
+func New(cfg Config, w workload.Workload) *Chip {
 	if cfg.Cores < 1 {
 		panic("chip: need at least one core")
 	}
@@ -164,56 +145,12 @@ func NewSharded(cfg Config, w workload.Workload, domains int) *Chip {
 		panic(err)
 	}
 	c.Memory = ml
-
-	var rn *noc.RouterNetwork
-	if v, ok := c.Net.(interface{ RN() *noc.RouterNetwork }); ok {
-		rn = v.RN()
-	}
-	if domains < 1 || rn == nil {
-		domains = 1
-	} else if domains > len(rn.Routers) {
-		domains = len(rn.Routers)
-	}
-	c.Doms = make([]*sim.Engine, domains)
-	for d := range c.Doms {
-		c.Doms[d] = sim.NewEngine()
-	}
-	c.Engine = c.Doms[0]
+	c.Engine = sim.NewEngine()
 
 	c.buildAgents(fab, ml)
 	c.buildCores(fab.CoreOrder)
-	if domains == 1 {
-		c.register()
-		return c
-	}
-	c.plan = rn.BuildShardPlan(routerDomains(rn, domains), domains)
-	c.registerSharded(rn)
-	c.Shard = sim.NewSharded(c.Doms, c.plan.InEdges, c.plan.Lookahead)
+	c.register()
 	return c
-}
-
-// NumDomains reports how many domains the chip actually runs on.
-func (c *Chip) NumDomains() int { return len(c.Doms) }
-
-// CrossLinks reports the number of staged cross-domain pipes (0 when
-// single-domain), for diagnostics and tests.
-func (c *Chip) CrossLinks() int {
-	if c.plan == nil {
-		return 0
-	}
-	return c.plan.CrossLinks
-}
-
-// routerDomains bands the routers into contiguous index ranges. Router
-// construction order is spatial in every builtin organization (row-major
-// tiles for the mesh/torus/cmesh, column trees then LLC routers for
-// NOC-Out), so contiguous bands keep most links domain-internal.
-func routerDomains(rn *noc.RouterNetwork, domains int) []int {
-	dom := make([]int, len(rn.Routers))
-	for i := range dom {
-		dom[i] = i * domains / len(rn.Routers)
-	}
-	return dom
 }
 
 // ActiveCores returns the number of enabled cores (the workload's
@@ -227,9 +164,8 @@ func (c *Chip) ActiveCores() int { return c.active }
 // come from the MemoryLayout.
 func (c *Chip) buildAgents(fab *Fabric, ml *MemoryLayout) {
 	cfg := c.Cfg
-	// One packet pool per node: the agents sending from a node and the
-	// dispatcher recycling delivered packets into it always run in that
-	// node's scheduling domain, so pools never need locking.
+	// One packet pool per node, shared by the agents sending from that
+	// node and the dispatcher recycling delivered packets into it.
 	c.pools = make([]*noc.PacketPool, fab.NumNodes)
 	for i := range c.pools {
 		c.pools[i] = &noc.PacketPool{}
@@ -326,75 +262,22 @@ func (c *Chip) register() {
 	}
 }
 
-// registerSharded distributes the components of register() across the
-// domain engines: every router and NI goes to its plan domain, and each
-// protocol agent (and each core, which calls its L1 synchronously) goes to
-// the domain owning its node's NI. Global construction order is preserved,
-// so components co-located in one domain keep the relative tick order the
-// single-engine kernel uses — part of the bit-identity argument.
-func (c *Chip) registerSharded(rn *noc.RouterNetwork) {
-	p := c.plan
-	rn.RegisterSharded(c.Doms, p)
-	for _, l1 := range c.L1s {
-		c.Doms[p.NodeDomain(l1.Node)].Register(l1)
-	}
-	for _, b := range c.Banks {
-		c.Doms[p.NodeDomain(b.Node)].Register(b)
-	}
-	for _, mc := range c.MCs {
-		c.Doms[p.NodeDomain(mc.Node)].Register(mc)
-	}
-	for i, co := range c.Cores {
-		c.Doms[p.NodeDomain(c.L1s[i].Node)].Register(co)
-	}
-}
-
-// step advances the chip n cycles through whichever kernel it was built
-// with; flush settles the lazily-accounted counters of sleeping components
-// in every domain. Both are safe only between steps.
-func (c *Chip) step(n sim.Cycle) {
-	if c.Shard != nil {
-		c.Shard.Step(n)
-		return
-	}
-	c.Engine.Step(n)
-}
-
-// FlushAll settles lazy accounting across all domains (Engine.Flush on a
-// single-domain chip). Exposed for tests that hash mid-run state.
-func (c *Chip) FlushAll() {
-	if c.Shard != nil {
-		c.Shard.Flush()
-		return
-	}
-	c.Engine.Flush()
-}
-
-// NowCycle returns the chip-wide clock: all domains agree on it whenever
-// the chip is not mid-step.
-func (c *Chip) NowCycle() sim.Cycle {
-	if c.Shard != nil {
-		return c.Shard.Now()
-	}
-	return c.Engine.Now()
-}
-
 // --- measurement ------------------------------------------------------------
 
 // Warmup runs n cycles and clears all measurement counters, leaving caches,
 // predictors-of-sorts and queues warm (the SimFlex-style methodology).
 func (c *Chip) Warmup(n sim.Cycle) {
-	c.step(n)
+	c.Engine.Step(n)
 	// Sleeping components account stall/utilization counters lazily; settle
 	// them against the warm-up before zeroing.
-	c.FlushAll()
+	c.Engine.Flush()
 	c.resetMeasurementStats()
 }
 
 // resetMeasurementStats zeroes every measurement counter, defining the
 // measurement boundary. Warmup and the checkpoint-restore path share it,
 // so post-restore counter state cannot drift from the warmup path. Lazy
-// accounting must be settled (FlushAll) before the call.
+// accounting must be settled (Engine.Flush) before the call.
 func (c *Chip) resetMeasurementStats() {
 	for _, co := range c.Cores {
 		co.ResetStats()
@@ -415,7 +298,7 @@ func (c *Chip) resetMeasurementStats() {
 }
 
 // Run advances the measurement window by n cycles.
-func (c *Chip) Run(n sim.Cycle) { c.step(n) }
+func (c *Chip) Run(n sim.Cycle) { c.Engine.Step(n) }
 
 // Metrics summarizes a finished measurement window.
 type Metrics struct {
@@ -450,7 +333,7 @@ func (c *Chip) NetRouters() []*noc.Router { return c.Fabric.Routers }
 
 // Metrics gathers the chip's counters.
 func (c *Chip) Metrics() Metrics {
-	c.FlushAll() // settle lazily-accounted counters of sleeping components
+	c.Engine.Flush() // settle lazily-accounted counters of sleeping components
 	var m Metrics
 	m.ActiveCores = c.active
 	var cycles int64
@@ -539,11 +422,11 @@ func Measure(cfg Config, w workload.Workload, warmup, window sim.Cycle) Metrics 
 // StateHash digests the architecturally visible simulation state — the
 // clock, network counters, and every agent's statistics and occupancy —
 // into one FNV-1a word. The kernel conformance suite compares it
-// cycle-by-cycle between the scheduled and naive kernels, and the sharded
-// suite between domain counts: any divergence in timing or protocol
-// behaviour shows up in these counters within a cycle or two of occurring.
+// cycle-by-cycle between the scheduled and naive kernels: any divergence
+// in timing or protocol behaviour shows up in these counters within a
+// cycle or two of occurring.
 func (c *Chip) StateHash() uint64 {
-	c.FlushAll()
+	c.Engine.Flush()
 	h := uint64(14695981039346656037)
 	mix := func(v uint64) {
 		h ^= v
@@ -554,7 +437,7 @@ func (c *Chip) StateHash() uint64 {
 			mix(uint64(v))
 		}
 	}
-	mixI(int64(c.NowCycle()), int64(c.active))
+	mixI(int64(c.Engine.Now()), int64(c.active))
 	ns := c.Net.Stats()
 	mixI(ns.Injected, ns.Delivered, ns.FlitHops, ns.PacketHops, ns.InjectFlits)
 	mix(math.Float64bits(ns.FlitLinkMM))

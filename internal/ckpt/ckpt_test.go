@@ -106,7 +106,7 @@ func TestDecStickyError(t *testing.T) {
 func TestDecHostileLengths(t *testing.T) {
 	huge := binary.AppendUvarint(nil, 1<<50)
 	cases := map[string]func(*Dec){
-		"string": func(d *Dec) { d.String() },
+		"string": func(d *Dec) { _ = d.String() },
 		"count":  func(d *Dec) { d.Count() },
 		"u64s":   func(d *Dec) { d.U64s() },
 		"bools":  func(d *Dec) { d.Bools() },
@@ -296,7 +296,7 @@ func FuzzReadCheckpoint(f *testing.F) {
 			for d.Err() == nil && d.Remaining() > 0 {
 				d.U64()
 				d.Bool()
-				d.String()
+				_ = d.String()
 				d.U64s()
 				d.Bools()
 				d.F64()

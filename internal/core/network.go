@@ -36,7 +36,7 @@ func (n *Network) SetDeliver(id noc.NodeID, fn func(now sim.Cycle, p *noc.Packet
 // Stats implements noc.Network.
 func (n *Network) Stats() *noc.Stats { return n.rn.Stats() }
 
-// RN exposes the underlying router network for the shard planner.
+// RN exposes the underlying router network for checkpointing.
 func (n *Network) RN() *noc.RouterNetwork { return n.rn }
 
 // RegisterInto implements sim.Registrar: the tree nodes, LLC routers and

@@ -33,12 +33,6 @@ func NewNI(n NodeID, stats *Stats) *NI {
 // SetDeliver registers the packet delivery callback.
 func (ni *NI) SetDeliver(fn func(now sim.Cycle, p *Packet)) { ni.deliver = fn }
 
-// SetStats retargets the NI's counter sink. The shard planner points every
-// NI at its domain's private shard so concurrent domains never write one
-// Stats struct; RouterNetwork.fold drains the shards back into the shared
-// counters (integer adds, so the merge is exact in any order).
-func (ni *NI) SetStats(s *Stats) { ni.stats = s }
-
 // ConnectNI wires an NI to its router: the NI's inject side feeds router
 // input port in (injDelay cycles of wire), and router output port out feeds
 // the NI's eject side (router pipeline + ejDelay cycles). ejectBuf is the
@@ -201,11 +195,6 @@ type RouterNetwork struct {
 	Routers []*Router
 	NIs     []*NI // indexed by NodeID; entries may be nil for internal nodes
 	stats   Stats
-
-	// shards are the per-domain NI counter sinks when the network is
-	// sharded (see BuildShardPlan); empty for single-domain use, where
-	// every NI writes rn.stats directly.
-	shards []Stats
 }
 
 // NewRouterNetwork returns an empty network shell with n NI slots.
@@ -217,40 +206,25 @@ func NewRouterNetwork(name string, n int) *RouterNetwork {
 func (rn *RouterNetwork) StatsRef() *Stats { return &rn.stats }
 
 // RN exposes the underlying router network; wrappers (NOC-Out's Network)
-// forward it so the shard planner can reach the fabric behind any
+// forward it so the checkpoint code can reach the fabric behind any
 // noc.Network implementation that has one.
 func (rn *RouterNetwork) RN() *RouterNetwork { return rn }
 
-// Stats implements Network. It folds the routers' (and, when sharded, the
-// per-domain NI shards') local accounting into the shared counters first,
-// so callers always see up-to-date totals; callers that reset the
-// counters with *Stats() = Stats{} therefore discard exactly the activity
-// up to this call.
+// Stats implements Network. It folds the routers' local accounting into
+// the shared counters first, so callers always see up-to-date totals;
+// callers that reset the counters with *Stats() = Stats{} therefore
+// discard exactly the activity up to this call.
 func (rn *RouterNetwork) Stats() *Stats {
 	rn.fold()
 	return &rn.stats
 }
 
-// fold drains local accounting deltas into rn.stats: router flit/link
-// counters in router order (the FlitLinkMM float accumulation order is
-// fixed, so it is bit-identical across kernels and domain counts), then
-// the per-domain NI shards in domain order (integer counters, exact).
-// It must only run while no domain is stepping.
+// fold drains the routers' local flit/link counters into rn.stats in
+// router order. FlitLinkMM is a float sum, so the fixed order keeps it
+// independent of the order in which routers tick.
 func (rn *RouterNetwork) fold() {
 	for _, r := range rn.Routers {
 		r.foldInto(&rn.stats)
-	}
-	for d := range rn.shards {
-		sh := &rn.shards[d]
-		rn.stats.Injected += sh.Injected
-		rn.stats.Delivered += sh.Delivered
-		rn.stats.PacketHops += sh.PacketHops
-		rn.stats.InjectFlits += sh.InjectFlits
-		for c := 0; c < NumClasses; c++ {
-			rn.stats.LatencySum[c] += sh.LatencySum[c]
-			rn.stats.Count[c] += sh.Count[c]
-		}
-		*sh = Stats{}
 	}
 }
 

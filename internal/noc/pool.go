@@ -2,12 +2,11 @@ package noc
 
 // PacketPool recycles Packets so the protocol's steady state allocates
 // nothing: a delivered packet is returned to the receiving node's pool and
-// reused for that node's future sends. All operations on one pool happen
-// on the owning node's tile — the agents that send from it and the
-// dispatcher that recycles into it run in the same scheduling domain — so
-// pools need no locking even under the sharded kernel, and because Get
-// fully re-initializes the packet, pooling is invisible to simulation
-// results (only heap addresses differ).
+// reused for that node's future sends. All operations on one pool come
+// from the owning node — the agents that send from it and the dispatcher
+// that recycles into it — and because Get fully re-initializes the
+// packet, pooling is invisible to simulation results (only heap addresses
+// differ).
 //
 // Senders keep their message payload in a cell that travels with the
 // packet: Get returns the packet's *any payload slot untouched, so a
@@ -20,8 +19,8 @@ type PacketPool struct {
 
 // Packet-ID spaces: each protocol agent numbers its own packets inside a
 // tag|agent|sequence partition, so IDs stay chip-unique without a shared
-// counter — which would be both a data race and a nondeterminism source
-// under the sharded kernel (IDs would depend on cross-domain interleaving).
+// counter and each agent's IDs depend only on its own sends, never on the
+// order in which agents tick.
 const (
 	PktTagL1  = 1
 	PktTagDir = 2

@@ -54,8 +54,7 @@ type Router struct {
 
 	// flitsFolded marks how much of flits has been drained into the
 	// network-wide Stats; see RouterNetwork.fold. Hot-path accounting is
-	// strictly router-local (no shared counters), so domains can tick
-	// routers concurrently without contention or ordering sensitivity.
+	// strictly router-local, so totals do not depend on tick order.
 	flitsFolded int64
 
 	inUsed, outUsed []bool // per-cycle allocation scratch, sized to the radix
@@ -142,7 +141,7 @@ type OutPort struct {
 	// has been drained into Stats.FlitLinkMM. Folding computes
 	// lengthMM * Δsent in a fixed port order, so the floating-point sum is
 	// a pure function of flit movement — identical across kernels — rather
-	// than of the order concurrent routers would update a shared counter.
+	// than of the order in which routers update a shared counter.
 	sent, sentFolded int64
 }
 

@@ -20,16 +20,6 @@ type Pipe[T any] struct {
 	q     []pipeEntry[T]
 	head  int
 	waker Waker
-
-	// Cross-domain staging (see Sharded). While staging is on, pushes land
-	// in staged — written only by the producer's domain — instead of q, and
-	// do not wake the consumer; CommitStaged, called only from the
-	// consumer's domain at a synchronization barrier, moves them into q in
-	// push order and raises the deferred wakes. The two sides never touch
-	// the buffers concurrently: producers push only inside a window,
-	// consumers commit only between windows.
-	staging bool
-	staged  []pipeEntry[T]
 }
 
 type pipeEntry[T any] struct {
@@ -73,9 +63,6 @@ func NewPipe[T any](name string, delay Cycle) *Pipe[T] {
 // Name returns the debugging name the pipe was created with.
 func (p *Pipe[T]) Name() string { return p.name }
 
-// Delay returns the pipe's fixed latency in cycles.
-func (p *Pipe[T]) Delay() Cycle { return p.delay }
-
 // SetWaker registers the consumer's wake handle; every subsequent push
 // re-arms the consumer for the pushed value's delivery cycle.
 func (p *Pipe[T]) SetWaker(w Waker) { p.waker = w }
@@ -83,10 +70,6 @@ func (p *Pipe[T]) SetWaker(w Waker) { p.waker = w }
 // Push inserts v at cycle now; it becomes poppable at now+delay.
 func (p *Pipe[T]) Push(now Cycle, v T) {
 	at := now + p.delay
-	if p.staging {
-		p.staged = append(p.staged, pipeEntry[T]{at: at, v: v})
-		return
-	}
 	p.q = append(p.q, pipeEntry[T]{at: at, v: v})
 	if p.waker != nil {
 		p.waker.Wake(at)
@@ -101,38 +84,10 @@ func (p *Pipe[T]) PushAfter(now Cycle, extra Cycle, v T) {
 		extra = 0
 	}
 	at := now + p.delay + extra
-	if p.staging {
-		p.staged = append(p.staged, pipeEntry[T]{at: at, v: v})
-		return
-	}
 	p.q = append(p.q, pipeEntry[T]{at: at, v: v})
 	if p.waker != nil {
 		p.waker.Wake(at)
 	}
-}
-
-// Stage switches the pipe into cross-domain staging mode. Only the Sharded
-// coordinator's plan builder calls it, once, before the simulation starts.
-func (p *Pipe[T]) Stage() { p.staging = true }
-
-// CommitStaged implements CrossStage: it publishes every staged entry into
-// the consumer-visible queue (in push order, so FIFO delivery is exactly
-// what the single-domain kernel would produce) and raises the deferred
-// consumer wakes. The staged buffer's capacity is retained, so a
-// steady-state commit allocates nothing.
-func (p *Pipe[T]) CommitStaged() {
-	if len(p.staged) == 0 {
-		return
-	}
-	for i := range p.staged {
-		e := p.staged[i]
-		p.q = append(p.q, e)
-		if p.waker != nil {
-			p.waker.Wake(e.at)
-		}
-		p.staged[i] = pipeEntry[T]{} // release the value for GC
-	}
-	p.staged = p.staged[:0]
 }
 
 // Pop removes and returns the oldest value whose delivery time has arrived.

@@ -206,13 +206,6 @@ func (e *Engine) Scheduled() bool { return !e.naive }
 // Now returns the current cycle (the last cycle that was ticked).
 func (e *Engine) Now() Cycle { return e.now }
 
-// NextArmed returns the earliest cycle at which any component of this
-// engine is armed to do work, and false when the calendar is empty (every
-// component sleeps until an external wake). The Sharded coordinator uses
-// it as the domain's published horizon: the domain provably performs no
-// pushes before this cycle.
-func (e *Engine) NextArmed() (Cycle, bool) { return e.nextArmed() }
-
 // Flush brings every lazily-accounted component (sim.Flusher) up to date at
 // the current cycle. Call it before reading statistics that are sampled per
 // cycle (measurement boundaries, state hashes).

@@ -7,9 +7,7 @@ import "nocout/internal/ckpt"
 // their private state. Two properties make restore exact:
 //
 //   - Pipe/Queue state is serialized as the consumer-visible sequence
-//     (live entries in delivery order, then any cross-domain staged
-//     entries in push order — exactly what the next CommitStaged would
-//     publish), so a restored chip may run under any domain count.
+//     (live entries in delivery order).
 //   - RestoreAt re-arms every registered component for the cycle after
 //     the snapshot instead of trying to reconstruct the wake calendar.
 //     A spurious tick is identity-preserving by the naive-kernel
@@ -17,26 +15,19 @@ import "nocout/internal/ckpt"
 //     each component's first NextWake report rebuilds the calendar from
 //     its restored inputs.
 
-// Each calls fn for every in-flight entry in consumer-visible order:
-// the live queue in delivery order, then staged entries in push order.
-// The pipe is not disturbed.
+// Each calls fn for every in-flight entry in delivery order. The pipe is
+// not disturbed.
 func (p *Pipe[T]) Each(fn func(at Cycle, v T)) {
 	for i := p.head; i < len(p.q); i++ {
 		fn(p.q[i].at, p.q[i].v)
 	}
-	for i := range p.staged {
-		fn(p.staged[i].at, p.staged[i].v)
-	}
 }
-
-// InFlight returns the total entry count Each will visit.
-func (p *Pipe[T]) InFlight() int { return p.Len() + len(p.staged) }
 
 // SaveState serializes the pipe's in-flight entries; put encodes one
 // value. Delivery cycles are delta-encoded from the predecessor (FIFO
 // pipes deliver in near-sorted cycle order).
 func (p *Pipe[T]) SaveState(e *ckpt.Enc, put func(e *ckpt.Enc, v T)) {
-	e.U64(uint64(p.InFlight()))
+	e.U64(uint64(p.Len()))
 	prev := Cycle(0)
 	p.Each(func(at Cycle, v T) {
 		e.I64(int64(at - prev))
@@ -47,12 +38,11 @@ func (p *Pipe[T]) SaveState(e *ckpt.Enc, put func(e *ckpt.Enc, v T)) {
 
 // LoadState replaces the pipe's contents with the serialized entries.
 // No wakes are raised — Engine.RestoreAt re-arms consumers wholesale.
-// The pipe's wiring (name, delay, waker, staging mode) is untouched.
+// The pipe's wiring (name, delay, waker) is untouched.
 func (p *Pipe[T]) LoadState(d *ckpt.Dec, get func(d *ckpt.Dec) T) {
 	n := d.Count()
 	p.q = p.q[:0]
 	p.head = 0
-	p.staged = p.staged[:0]
 	prev := Cycle(0)
 	for i := 0; i < n && d.Err() == nil; i++ {
 		prev += Cycle(d.I64())
@@ -117,14 +107,5 @@ func (e *Engine) RestoreAt(at Cycle) {
 	}
 	for i := range e.tickers {
 		e.arm(i, at+1)
-	}
-}
-
-// RestoreAt moves the coordinator and every domain engine to the
-// snapshot cycle. Must only be called between Steps.
-func (s *Sharded) RestoreAt(at Cycle) {
-	s.now = at
-	for _, e := range s.doms {
-		e.RestoreAt(at)
 	}
 }

@@ -1,7 +1,6 @@
 package nocout
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -134,39 +133,26 @@ func BenchmarkKernelChip(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelSharded measures the conservative parallel kernel's
-// steady state on the full 64-core NOC-Out chip (Web Search) at 1, 2, 4,
-// and 8 domains. Construction and warm-up are excluded (ResetTimer), so
-// ns/simcycle is the marginal cost of a simulated cycle and allocs/op is
-// the steady-state allocation per 2000-cycle chunk — the two numbers
-// BENCH_kernel.json tracks PR over PR. 1dom is the scheduled kernel
-// baseline (NewSharded at one domain takes the single-engine path); the
-// speedup at 4+ domains materializes on multi-core hosts, while a
-// single-CPU host shows the synchronization overhead instead — which is
-// why the comparison is archived from CI rather than asserted here.
-func BenchmarkKernelSharded(b *testing.B) {
+// BenchmarkKernelSteadyState measures the kernel's steady state on the
+// full 64-core NOC-Out chip (Web Search). Construction and warm-up are
+// excluded (ResetTimer), so ns/simcycle is the marginal cost of a
+// simulated cycle and allocs/op is the steady-state allocation per
+// 2000-cycle chunk — the two numbers BENCH_kernel.json tracks.
+func BenchmarkKernelSteadyState(b *testing.B) {
 	w, err := workload.Parse("Web Search")
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := DefaultConfig(NOCOut)
-	for _, dom := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("%ddom", dom), func(b *testing.B) {
-			const chunk = 2000
-			c := chip.NewSharded(cfg, w, dom)
-			if dom > 1 && c.NumDomains() != dom {
-				b.Fatalf("chip runs %d domains, want %d", c.NumDomains(), dom)
-			}
-			c.PrewarmCaches()
-			c.Warmup(benchQ.Warmup)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c.Run(chunk)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(chunk)*int64(b.N)), "ns/simcycle")
-		})
+	const chunk = 2000
+	c := chip.New(DefaultConfig(NOCOut), w)
+	c.PrewarmCaches()
+	c.Warmup(benchQ.Warmup)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Run(chunk)
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(chunk)*int64(b.N)), "ns/simcycle")
 }
 
 // BenchmarkKernelSpeedup reports the naive/scheduled wall-clock ratio on

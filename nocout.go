@@ -274,7 +274,7 @@ func RunUnlimited(cfg Config, workloadName string, q Quality) (Result, error) {
 // a constructed Mix or Phased schedule, a loaded Capture, or any user
 // implementation.
 func RunWorkload(cfg Config, w Workload, q Quality) Result {
-	res, _ := runSeeds(context.Background(), cfg, w, q, 1, nil)
+	res, _ := runSeeds(context.Background(), cfg, w, q, nil)
 	return res
 }
 
@@ -302,55 +302,8 @@ func isRuntimeError(r any) bool {
 // the whole process: the Runner's worker pool and runSeeds' per-seed
 // fan-out both draw from it, so a Full-quality sweep (3 seeds/point)
 // cannot oversubscribe the machine the way points × seeds goroutines
-// would. The semaphore is weighted: a simulation sharded across D
-// domains (SimDomains) runs D stepping goroutines and occupies D slots,
-// keeping workers × domains bounded too.
-var simSlots = newSlotSem(runtime.NumCPU())
-
-// slotSem is a weighted semaphore. Grants are atomic — all n slots or
-// none, under one lock — so concurrent wide requests cannot deadlock
-// holding partial grants; requests wider than the capacity are clamped
-// rather than wedged forever.
-type slotSem struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	cap  int
-	used int
-}
-
-func newSlotSem(n int) *slotSem {
-	if n < 1 {
-		n = 1
-	}
-	s := &slotSem{cap: n}
-	s.cond = sync.NewCond(&s.mu)
-	return s
-}
-
-// acquire blocks until n slots (clamped to [1, cap]) are free, takes
-// them, and returns how many were actually taken for the paired release.
-func (s *slotSem) acquire(n int) int {
-	if n < 1 {
-		n = 1
-	}
-	if n > s.cap {
-		n = s.cap
-	}
-	s.mu.Lock()
-	for s.used+n > s.cap {
-		s.cond.Wait()
-	}
-	s.used += n
-	s.mu.Unlock()
-	return n
-}
-
-func (s *slotSem) release(n int) {
-	s.mu.Lock()
-	s.used -= n
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
+// would. Each simulation occupies one slot.
+var simSlots = make(chan struct{}, runtime.NumCPU())
 
 // runSeeds is the engine's measurement kernel: it runs q.Seeds
 // independent simulations of cfg under w in parallel (bounded by
@@ -369,7 +322,7 @@ func (s *slotSem) release(n int) {
 // first such panic is re-raised on the caller's goroutine, so it stays a
 // recoverable hard error — Runner.Run converts it into a returned error
 // — instead of killing the process from a goroutine nobody can recover.
-func runSeeds(ctx context.Context, cfg Config, w workload.Workload, q Quality, domains int, ck *CheckpointStore) (Result, bool) {
+func runSeeds(ctx context.Context, cfg Config, w workload.Workload, q Quality, ck *CheckpointStore) (Result, bool) {
 	if q.Seeds < 1 {
 		q.Seeds = 1
 	}
@@ -405,8 +358,8 @@ func runSeeds(ctx context.Context, cfg Config, w workload.Workload, q Quality, d
 			if ctx.Err() != nil {
 				return
 			}
-			got := simSlots.acquire(domains)
-			defer simSlots.release(got)
+			simSlots <- struct{}{}
+			defer func() { <-simSlots }()
 			if ctx.Err() != nil {
 				return
 			}
@@ -419,9 +372,9 @@ func runSeeds(ctx context.Context, cfg Config, w workload.Workload, q Quality, d
 			// on which one ran.
 			var c *chip.Chip
 			if ck != nil {
-				c = ck.chipFor(scfg, w, domains, q.Warmup)
+				c = ck.chipFor(scfg, w, q.Warmup)
 			} else {
-				c = warmChip(scfg, w, domains, q.Warmup)
+				c = warmChip(scfg, w, q.Warmup)
 			}
 			c.Run(q.Window)
 			m := c.Metrics()

@@ -14,7 +14,7 @@ import (
 // resumable, multi-process campaign.
 type Runner struct {
 	// Workers bounds the number of points measured concurrently;
-	// <= 0 means runtime.NumCPU(). Results are identical for any
+	// <= 0 means runtime.GOMAXPROCS(0). Results are identical for any
 	// worker count — points are independent and deterministic.
 	Workers int
 
@@ -88,7 +88,10 @@ type Lease interface {
 // point, or, in KeepGoing mode, is recorded in its PointResult.Err while
 // the sweep continues.
 func (rn *Runner) Run(ctx context.Context, sw Sweep) (*Report, error) {
-	workers := effectiveWorkers(rn.Workers, sw.SimDomains, runtime.GOMAXPROCS(0))
+	workers := rn.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	if workers > sw.Len() {
 		workers = sw.Len()
 	}
@@ -201,7 +204,7 @@ func (rn *Runner) Run(ctx context.Context, sw Sweep) (*Report, error) {
 					release = rel
 				}
 
-				r, complete, err := runPoint(runCtx, *p, sw.Quality, sw.SimDomains, rn.Checkpoints)
+				r, complete, err := runPoint(runCtx, *p, sw.Quality, rn.Checkpoints)
 				if err != nil {
 					release()
 					if !pointErr(i, *p, err) {
@@ -265,40 +268,16 @@ feed:
 	return rep, nil
 }
 
-// effectiveWorkers budgets the Runner's pool against intra-simulation
-// parallelism: a sweep at SimDomains = D runs D stepping goroutines per
-// in-flight point, so the pool shrinks to procs/D (never below one
-// worker) instead of multiplying into workers × D oversubscription.
-// Explicit Workers requests are honoured up to that budget; <= 0 asks
-// for the full machine.
-func effectiveWorkers(workers, domains, procs int) int {
-	if procs < 1 {
-		procs = 1
-	}
-	if workers <= 0 {
-		workers = procs
-	}
-	if domains > 1 {
-		if budget := procs / domains; workers > budget {
-			workers = budget
-		}
-		if workers < 1 {
-			workers = 1
-		}
-	}
-	return workers
-}
-
 // runPoint measures one sweep point, converting a configuration panic
 // (runSeeds re-raises the first worker panic on this goroutine) into an
 // error that names the point. complete is false when cancellation cut
 // the measurement short, in which case res must be discarded.
-func runPoint(ctx context.Context, p Point, q Quality, domains int, ck *CheckpointStore) (res Result, complete bool, err error) {
+func runPoint(ctx context.Context, p Point, q Quality, ck *CheckpointStore) (res Result, complete bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("nocout: point %s: %v", p, r)
 		}
 	}()
-	res, complete = runSeeds(ctx, p.Config, p.wl, q, domains, ck)
+	res, complete = runSeeds(ctx, p.Config, p.wl, q, ck)
 	return res, complete, nil
 }
