@@ -167,6 +167,10 @@ func TestScheduledSkipsIdleComponents(t *testing.T) {
 	if len(cons.got) != 1 || cons.got[0] != (delivery{V: 42, At: 5}) {
 		t.Fatalf("consumer deliveries = %v", cons.got)
 	}
+	// 100 plain ticks, the idle probe, the consumer's probe and delivery.
+	if e.Ticks() != 103 || e.WorkCycles() != 100 {
+		t.Fatalf("work counters = %d ticks, %d cycles; want 103, 100", e.Ticks(), e.WorkCycles())
+	}
 }
 
 type countingSleeper struct{ n int }

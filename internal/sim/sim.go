@@ -146,6 +146,9 @@ type Engine struct {
 
 	inCycle bool // a cycle is being processed
 	cursor  int  // index currently being ticked within the cycle
+
+	ticks      int64 // components ticked since the engine was built
+	workCycles int64 // cycles on which at least one component ticked
 }
 
 // NewEngine returns an engine with the clock at cycle 0, running the
@@ -202,6 +205,14 @@ func (e *Engine) SetScheduled(on bool) {
 
 // Scheduled reports whether the event-scheduled kernel is active.
 func (e *Engine) Scheduled() bool { return !e.naive }
+
+// Ticks returns how many component ticks the engine has run since it was
+// built: the kernel's unit of work. Restores do not reset it.
+func (e *Engine) Ticks() int64 { return e.ticks }
+
+// WorkCycles returns how many cycles the engine has processed on which at
+// least one component ticked; the scheduled kernel skips the others.
+func (e *Engine) WorkCycles() int64 { return e.workCycles }
 
 // Now returns the current cycle (the last cycle that was ticked).
 func (e *Engine) Now() Cycle { return e.now }
@@ -281,6 +292,10 @@ func (e *Engine) tickAll() {
 	for _, t := range e.tickers {
 		t.Tick(e.now)
 	}
+	if len(e.tickers) > 0 {
+		e.ticks += int64(len(e.tickers))
+		e.workCycles++
+	}
 }
 
 // nextArmed returns the earliest armed cycle, discarding stale heap
@@ -306,6 +321,7 @@ func (e *Engine) nextArmed() (Cycle, bool) {
 // join the same cycle; all others land on a later cycle.
 func (e *Engine) runCycle() {
 	e.inCycle = true
+	e.workCycles++
 	ai := 0
 	for {
 		// Next live heap candidate due this cycle.
@@ -345,6 +361,7 @@ func (e *Engine) runCycle() {
 		}
 		e.cursor = idx
 		e.tickers[idx].Tick(e.now)
+		e.ticks++
 		rep := e.now + 1
 		if s := e.sleeper[idx]; s != nil {
 			rep = s.NextWake(e.now)
