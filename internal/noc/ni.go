@@ -17,8 +17,8 @@ type NI struct {
 	nextSeq [NumClasses]int
 	out     OutPort // local port into the router's local input
 
-	eject       *sim.Pipe[Flit]
-	ejectCredit *sim.Pipe[Credit]
+	eject   *sim.Pipe[Flit]
+	ejectUp *OutPort // router output feeding eject; ejected flits return its credits
 
 	deliver func(now sim.Cycle, p *Packet)
 	stats   *Stats
@@ -27,7 +27,7 @@ type NI struct {
 
 // NewNI returns an unconnected network interface for node n.
 func NewNI(n NodeID, stats *Stats) *NI {
-	return &NI{Node: n, stats: stats}
+	return &NI{Node: n, stats: stats, out: OutPort{pendAt: sim.NeverWake}}
 }
 
 // SetDeliver registers the packet delivery callback.
@@ -45,12 +45,10 @@ func ConnectNI(ni *NI, r *Router, in, out int, injDelay, ejDelay sim.Cycle, ejec
 // ConnectNIInject wires only the NI's inject side into router input port in.
 func ConnectNIInject(ni *NI, r *Router, in int, injDelay sim.Cycle) {
 	inj := sim.NewPipe[Flit](fmt.Sprintf("ni%d->%s", ni.Node, r.Name), injDelay)
-	injCr := sim.NewPipe[Credit](fmt.Sprintf("%s->ni%d.credit", r.Name, ni.Node), 1)
 	ip := r.ins[in]
 	ip.in = inj
-	ip.creditOut = injCr
+	ip.up = &ni.out
 	ni.out.link = inj
-	ni.out.creditIn = injCr
 	for c := range ni.out.credits {
 		ni.out.credits[c] = ip.cap
 	}
@@ -62,15 +60,13 @@ func ConnectNIEject(ni *NI, r *Router, out int, ejDelay sim.Cycle, ejectBuf int)
 		ejectBuf = 1
 	}
 	ej := sim.NewPipe[Flit](fmt.Sprintf("%s->ni%d", r.Name, ni.Node), r.PipeDelay+ejDelay)
-	ejCr := sim.NewPipe[Credit](fmt.Sprintf("ni%d->%s.credit", ni.Node, r.Name), 1)
 	op := r.outs[out]
 	op.link = ej
-	op.creditIn = ejCr
 	for c := range op.credits {
 		op.credits[c] = ejectBuf
 	}
 	ni.eject = ej
-	ni.ejectCredit = ejCr
+	ni.ejectUp = op
 }
 
 // Send enqueues a packet for injection. The inject queue is unbounded; real
@@ -92,24 +88,15 @@ func (ni *NI) Pending() int {
 	return n
 }
 
-// Tick drains credits and ejected flits, then injects at most one flit.
+// Tick drains ejected flits, then injects at most one flit.
 func (ni *NI) Tick(now sim.Cycle) {
-	if ni.out.creditIn != nil {
-		for {
-			c, ok := ni.out.creditIn.Pop(now)
-			if !ok {
-				break
-			}
-			ni.out.credits[c.VC]++
-		}
-	}
 	if ni.eject != nil {
 		for {
 			f, ok := ni.eject.Pop(now)
 			if !ok {
 				break
 			}
-			ni.ejectCredit.Push(now, Credit{VC: f.Pkt.Class})
+			ni.ejectUp.returnCredit(now, f.Pkt.Class)
 			p := f.Pkt
 			p.arrived++
 			if p.arrived == p.Size {
@@ -142,8 +129,8 @@ func (ni *NI) BindWaker(w sim.Waker) {
 }
 
 // NextWake implements sim.Sleeper: awake every cycle while packets wait to
-// inject (injection may be credit-gated, and credits drain at tick start),
-// asleep until the next in-flight ejecting flit otherwise.
+// inject (injection may be credit-gated, and credits are not wake
+// sources), asleep until the next in-flight ejecting flit otherwise.
 func (ni *NI) NextWake(now sim.Cycle) sim.Cycle {
 	for c := range ni.injectQ {
 		if ni.injectQ[c].Len() > 0 {
@@ -164,6 +151,7 @@ func (ni *NI) inject(now sim.Cycle) {
 	if ni.out.link == nil {
 		return
 	}
+	ni.out.settle(now)
 	for k := 0; k < NumClasses; k++ {
 		c := Class((ni.rr + k) % NumClasses)
 		p, ok := ni.injectQ[c].Peek()

@@ -80,12 +80,6 @@ func (f Flit) Head() bool { return f.Seq == 0 }
 // Tail reports whether this is the packet's tail flit.
 func (f Flit) Tail() bool { return f.Seq == f.Pkt.Size-1 }
 
-// Credit is a flow-control token returned upstream when a flit leaves an
-// input buffer.
-type Credit struct {
-	VC Class
-}
-
 // FlitsFor returns the number of flits needed to carry bytes of payload plus
 // an 8-byte header on a link of width linkBits. This is where Figure 9's
 // serialization-latency effect comes from: narrower links mean more flits

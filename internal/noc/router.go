@@ -2,12 +2,14 @@ package noc
 
 import (
 	"fmt"
+	"math/bits"
 
 	"nocout/internal/sim"
 )
 
 // RouteFunc selects the output-port index a packet should take from a
-// router. It must be a pure function of the packet's destination.
+// router. It must be a pure function of the packet's destination: each
+// router memoizes the first result per destination.
 type RouteFunc func(p *Packet) int
 
 // HeadRoomFunc returns the minimum downstream credits a head flit needs to
@@ -46,11 +48,15 @@ type Router struct {
 	ins      []*InPort
 	outs     []*OutPort
 	route    RouteFunc
-	prio     []Cand // static arbitration order; nil means round-robin
-	allCands []Cand // cached round-robin candidate cross product
-	numVCs   int    // implemented VCs (area accounting); 0 = NumClasses
-	flits    int64  // flits routed through this router (energy accounting)
+	routes   []int32 // memoized route per destination; -1 = not yet computed
+	prio     []Cand  // static arbitration order; nil means round-robin
+	numVCs   int     // implemented VCs (area accounting); 0 = NumClasses
+	flits    int64   // flits routed through this router (energy accounting)
 	headRoom HeadRoomFunc
+
+	// occ has bit port*vcStride+vc set while that VC buffer holds a flit;
+	// the buffers maintain it themselves (flitRing.occ).
+	occ []uint64
 
 	// flitsFolded marks how much of flits has been drained into the
 	// network-wide Stats; see RouterNetwork.fold. Hot-path accounting is
@@ -73,7 +79,7 @@ func (r *Router) SetPriority(order []Cand) { r.prio = order }
 
 // SetRoute replaces the routing function (used by builders that need the
 // router allocated before the topology-wide tables exist).
-func (r *Router) SetRoute(f RouteFunc) { r.route = f }
+func (r *Router) SetRoute(f RouteFunc) { r.route, r.routes = f, nil }
 
 // SetHeadRoom installs a head-flit credit-threshold policy (see
 // HeadRoomFunc). Body flits are unaffected: once a head wins its output VC
@@ -95,12 +101,18 @@ func (r *Router) NumOut() int { return len(r.outs) }
 
 // InPort is a router input with one FIFO buffer per virtual channel.
 type InPort struct {
-	name      string
-	cap       int // flits per VC
-	vcs       [NumClasses]flitRing
-	in        *sim.Pipe[Flit]
-	creditOut *sim.Pipe[Credit]
+	name string
+	cap  int // flits per VC
+	vcs  [NumClasses]flitRing
+	in   *sim.Pipe[Flit]
+	up   *OutPort // upstream sender whose credits this buffer returns
 }
+
+// vcStride is the number of occupancy bits reserved per input port, a
+// power of two so a bit splits into (port, VC) with a shift and a mask.
+const vcStride = 4
+
+var _ [vcStride - NumClasses]struct{} // NumClasses must fit in vcStride
 
 // flitRing is a fixed-capacity flit FIFO. The credit protocol bounds VC
 // occupancy at the port capacity, so the buffer is allocated once (at
@@ -108,10 +120,15 @@ type InPort struct {
 // tail, reslice the head away on dequeue — abandoned its backing array
 // as it advanced and reallocated continually on the switch-traversal hot
 // path, the chip's densest per-cycle loop.
+//
+// Each ring owns one bit of its router's occupancy mask (occ, bit) and
+// keeps it equal to "non-empty".
 type flitRing struct {
 	buf  []Flit
 	head int
 	n    int
+	occ  *uint64
+	bit  uint64
 }
 
 func (q *flitRing) len() int    { return q.n }
@@ -120,20 +137,39 @@ func (q *flitRing) front() Flit { return q.buf[q.head] }
 func (q *flitRing) push(f Flit) {
 	q.buf[(q.head+q.n)%len(q.buf)] = f
 	q.n++
+	*q.occ |= q.bit
 }
 
 func (q *flitRing) pop() {
 	q.buf[q.head] = Flit{} // drop the packet reference for GC
 	q.head = (q.head + 1) % len(q.buf)
-	q.n--
+	if q.n--; q.n == 0 {
+		*q.occ &^= q.bit
+	}
+}
+
+// syncOcc sets the occupancy bit from n after a bulk load.
+func (q *flitRing) syncOcc() {
+	if q.n > 0 {
+		*q.occ |= q.bit
+	} else {
+		*q.occ &^= q.bit
+	}
 }
 
 // OutPort is a router output: a link pipe plus downstream credit state.
+//
+// Credits return over a one-cycle wire: the downstream buffer adds each
+// freed slot to pend, due at pendAt (the cycle after the return), and the
+// port folds pend into credits lazily, when it next reads credits at or
+// after pendAt. Every return in one cycle shares the same due cycle, and
+// a return first settles the older batch, so at most one batch pends.
 type OutPort struct {
 	name     string
 	link     *sim.Pipe[Flit]
-	creditIn *sim.Pipe[Credit]
 	credits  [NumClasses]int
+	pend     [NumClasses]int
+	pendAt   sim.Cycle // due cycle of pend; NeverWake when nothing pends
 	owner    [NumClasses]*Packet
 	lengthMM float64
 
@@ -156,13 +192,42 @@ func (r *Router) AddIn(name string, capacity int) int {
 		ip.vcs[c].buf = make([]Flit, capacity)
 	}
 	r.ins = append(r.ins, ip)
+	if w := (len(r.ins)*vcStride + 63) / 64; w > len(r.occ) {
+		r.occ = append(r.occ, 0)
+	}
+	// Growing occ may move it; re-point every buffer at its bit.
+	for i, ip := range r.ins {
+		for c := range ip.vcs {
+			b := i*vcStride + c
+			ip.vcs[c].occ, ip.vcs[c].bit = &r.occ[b/64], 1<<(b%64)
+		}
+	}
 	return len(r.ins) - 1
 }
 
 // AddOut appends an output port and returns its index.
 func (r *Router) AddOut(name string) int {
-	r.outs = append(r.outs, &OutPort{name: name})
+	r.outs = append(r.outs, &OutPort{name: name, pendAt: sim.NeverWake})
 	return len(r.outs) - 1
+}
+
+// returnCredit sends one credit for class vc back over the wire at cycle
+// now; the port sees it from now+1.
+func (op *OutPort) returnCredit(now sim.Cycle, vc Class) {
+	op.settle(now)
+	op.pend[vc]++
+	op.pendAt = now + 1
+}
+
+// settle folds the pending credits into credits once they are due.
+func (op *OutPort) settle(now sim.Cycle) {
+	if op.pendAt <= now {
+		for c := range op.pend {
+			op.credits[c] += op.pend[c]
+			op.pend[c] = 0
+		}
+		op.pendAt = sim.NeverWake
+	}
 }
 
 // SetVCCount records how many virtual channels the router actually
@@ -224,35 +289,21 @@ func (r *Router) OutLinkLengthsMM() []float64 {
 // credits return upstream in one cycle.
 func Connect(a *Router, out int, b *Router, in int, linkDelay sim.Cycle, lengthMM float64) {
 	name := fmt.Sprintf("%s.%s->%s.%s", a.Name, a.outs[out].name, b.Name, b.ins[in].name)
-	flits := sim.NewPipe[Flit](name, a.PipeDelay+linkDelay)
-	credits := sim.NewPipe[Credit](name+".credit", 1)
 	op, ip := a.outs[out], b.ins[in]
-	op.link = flits
-	op.creditIn = credits
+	op.link = sim.NewPipe[Flit](name, a.PipeDelay+linkDelay)
 	op.lengthMM = lengthMM
 	for c := range op.credits {
 		op.credits[c] = ip.cap
 	}
-	ip.in = flits
-	ip.creditOut = credits
+	ip.in = op.link
+	ip.up = op
 }
 
-// Tick advances the router one cycle: drain returned credits, accept
-// arriving flits, then perform switch allocation (one flit per input and per
-// output per cycle, packet-atomic per output VC, credit-gated).
+// Tick advances the router one cycle: accept arriving flits, then perform
+// switch allocation (one flit per input and per output per cycle,
+// packet-atomic per output VC, credit-gated). Returned credits are folded
+// in lazily, when allocation reads an output's credits.
 func (r *Router) Tick(now sim.Cycle) {
-	for _, op := range r.outs {
-		if op.creditIn == nil {
-			continue
-		}
-		for {
-			c, ok := op.creditIn.Pop(now)
-			if !ok {
-				break
-			}
-			op.credits[c.VC]++
-		}
-	}
 	for _, ip := range r.ins {
 		if ip.in == nil {
 			continue
@@ -274,11 +325,11 @@ func (r *Router) Tick(now sim.Cycle) {
 
 // BindWaker implements sim.WakeBinder: every input flit pipe becomes a wake
 // source, so a quiescent router is re-armed the moment traffic is pushed
-// toward it. Credit-return pipes are deliberately not wake sources: a
-// returned credit enables no work on its own, and pending credits are
-// drained in bulk at the start of the next flit-driven tick, giving the
-// allocator exactly the credit view the naive kernel would have. All links
-// must be connected before the router is registered with the engine.
+// toward it. Credit returns are deliberately not wake sources: a returned
+// credit enables no work on its own, and the allocator folds due credits
+// in whenever it reads them, giving it exactly the credit view the naive
+// kernel would have. All links must be connected before the router is
+// registered with the engine.
 func (r *Router) BindWaker(w sim.Waker) {
 	for _, ip := range r.ins {
 		if ip.in != nil {
@@ -289,18 +340,16 @@ func (r *Router) BindWaker(w sim.Waker) {
 
 // NextWake implements sim.Sleeper. A router holding buffered flits must
 // keep arbitrating every cycle (it may be credit-blocked, and the blocking
-// credit arrives on a pipe it drains at tick start); an empty router sleeps
-// until the earliest in-flight flit on any input link can arrive, and
-// indefinitely (NeverWake) when its inputs are dry — the input pipes are
-// its wake sources.
+// credit is not a wake source); an empty router sleeps until the earliest
+// in-flight flit on any input link can arrive, and indefinitely
+// (NeverWake) when its inputs are dry — the input pipes are its wake
+// sources.
 func (r *Router) NextWake(now sim.Cycle) sim.Cycle {
+	if r.occupied() {
+		return now + 1
+	}
 	next := sim.NeverWake
 	for _, ip := range r.ins {
-		for c := range ip.vcs {
-			if ip.vcs[c].len() > 0 {
-				return now + 1
-			}
-		}
 		if ip.in != nil {
 			if at, ok := ip.in.NextAt(); ok && at < next {
 				next = at
@@ -310,8 +359,21 @@ func (r *Router) NextWake(now sim.Cycle) sim.Cycle {
 	return next
 }
 
+// occupied reports whether any input VC buffer holds a flit.
+func (r *Router) occupied() bool {
+	for _, w := range r.occ {
+		if w != 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // allocate performs switch allocation for one cycle.
 func (r *Router) allocate(now sim.Cycle) {
+	if !r.occupied() {
+		return
+	}
 	// The scratch masks are sized to the actual radix (the central
 	// crossbar has a port per tile; a mesh router has at most 9).
 	if len(r.inUsed) != len(r.ins) {
@@ -324,96 +386,126 @@ func (r *Router) allocate(now sim.Cycle) {
 	} else {
 		clear(r.outUsed)
 	}
-	inUsed, outUsed := r.inUsed, r.outUsed
-	cands := r.candidates()
-	n := len(cands)
-	if n == 0 {
+	if r.prio != nil {
+		for _, cd := range r.prio {
+			if r.ins[cd.Port].vcs[cd.VC].len() > 0 {
+				r.grant(now, cd.Port, cd.VC)
+			}
+		}
 		return
 	}
-	start := 0
-	if r.prio == nil {
-		// Rotating arbitration. The rotation is a pure function of the
-		// clock (one position per cycle, first tick at cycle 1 starting at
-		// 0), so a router that slept through idle cycles arbitrates exactly
-		// as if it had been ticked every cycle — a stateful pointer would
-		// diverge between the scheduled and naive kernels.
-		start = int(((now-1)%sim.Cycle(n) + sim.Cycle(n)) % sim.Cycle(n))
+	// Rotating arbitration over every (port, VC) pair, port-major. The
+	// rotation is a pure function of the clock (one position per cycle,
+	// first tick at cycle 1 starting at 0), so a router that slept
+	// through idle cycles arbitrates exactly as if it had been ticked
+	// every cycle — a stateful pointer would diverge between the
+	// scheduled and naive kernels. Only occupied buffers are visited:
+	// set occupancy bits from the rotation start up, then from 0 to it.
+	n := sim.Cycle(len(r.ins) * NumClasses)
+	start := int(((now-1)%n + n) % n)
+	start = start/NumClasses*vcStride + start%NumClasses
+	sw := start / 64
+	for wi := sw; wi < len(r.occ); wi++ {
+		m := r.occ[wi]
+		if wi == sw {
+			m &^= 1<<(start%64) - 1
+		}
+		r.grantAll(now, wi, m)
 	}
-	for k := 0; k < n; k++ {
-		cd := cands[(start+k)%n]
-		if inUsed[cd.Port] {
-			continue
+	for wi := 0; wi <= sw; wi++ {
+		m := r.occ[wi]
+		if wi == sw {
+			m &= 1<<(start%64) - 1
 		}
-		ip := r.ins[cd.Port]
-		if ip.vcs[cd.VC].len() == 0 {
-			continue
-		}
-		f := ip.vcs[cd.VC].front()
-		out := r.route(f.Pkt)
-		if out < 0 || out >= len(r.outs) {
-			panic(fmt.Sprintf("noc: %s route(%d->%d) = invalid port %d", r.Name, f.Pkt.Src, f.Pkt.Dst, out))
-		}
-		if outUsed[out] {
-			continue
-		}
-		op := r.outs[out]
-		if op.link == nil {
-			panic(fmt.Sprintf("noc: %s output %s not connected", r.Name, op.name))
-		}
-		// Packet atomicity: an output VC is owned by one packet from head
-		// to tail.
-		need := 1
-		if own := op.owner[cd.VC]; own != nil {
-			if own != f.Pkt {
-				continue
-			}
-		} else {
-			if !f.Head() {
-				continue // only a head flit may claim a free VC
-			}
-			if r.headRoom != nil {
-				if n := r.headRoom(cd.Port, out, f.Pkt.Size); n > need {
-					need = n
-				}
-			}
-		}
-		if op.credits[cd.VC] < need {
-			continue
-		}
-		// Grant.
-		ip.vcs[cd.VC].pop()
-		op.credits[cd.VC]--
-		if f.Head() {
-			op.owner[cd.VC] = f.Pkt
-			f.Pkt.hops++
-		}
-		if f.Tail() {
-			op.owner[cd.VC] = nil
-		}
-		op.link.Push(now, f)
-		if ip.creditOut != nil {
-			ip.creditOut.Push(now, Credit{VC: cd.VC})
-		}
-		r.flits++
-		op.sent++
-		inUsed[cd.Port] = true
-		outUsed[out] = true
+		r.grantAll(now, wi, m)
 	}
 }
 
-// candidates returns the arbitration order for this cycle: the static
-// priority list if configured, otherwise every (port, VC) pair.
-func (r *Router) candidates() []Cand {
-	if r.prio != nil {
-		return r.prio
+// grantAll offers the buffers named by the set bits of occupancy word wi
+// (masked to m) to the switch in ascending order. Grants only empty
+// buffers already visited, so the snapshot m stays exact.
+func (r *Router) grantAll(now sim.Cycle, wi int, m uint64) {
+	for m != 0 {
+		b := wi*64 + bits.TrailingZeros64(m)
+		m &= m - 1
+		r.grant(now, b/vcStride, Class(b%vcStride))
 	}
-	// Build once and cache: the full cross product is static.
-	if r.allCands == nil {
-		for i := range r.ins {
-			for c := Class(0); c < NumClasses; c++ {
-				r.allCands = append(r.allCands, Cand{Port: i, VC: c})
+}
+
+// grant moves the head flit of input port in, VC vc, to its output if the
+// input and output are free this cycle, packet atomicity allows it, and
+// the downstream buffer has credit.
+func (r *Router) grant(now sim.Cycle, in int, vc Class) {
+	if r.inUsed[in] {
+		return
+	}
+	ip := r.ins[in]
+	f := ip.vcs[vc].front()
+	out := r.routeOf(f.Pkt)
+	if r.outUsed[out] {
+		return
+	}
+	op := r.outs[out]
+	if op.link == nil {
+		panic(fmt.Sprintf("noc: %s output %s not connected", r.Name, op.name))
+	}
+	// Packet atomicity: an output VC is owned by one packet from head
+	// to tail.
+	need := 1
+	if own := op.owner[vc]; own != nil {
+		if own != f.Pkt {
+			return
+		}
+	} else {
+		if !f.Head() {
+			return // only a head flit may claim a free VC
+		}
+		if r.headRoom != nil {
+			if n := r.headRoom(in, out, f.Pkt.Size); n > need {
+				need = n
 			}
 		}
 	}
-	return r.allCands
+	op.settle(now)
+	if op.credits[vc] < need {
+		return
+	}
+	// Grant.
+	ip.vcs[vc].pop()
+	op.credits[vc]--
+	if f.Head() {
+		op.owner[vc] = f.Pkt
+		f.Pkt.hops++
+	}
+	if f.Tail() {
+		op.owner[vc] = nil
+	}
+	op.link.Push(now, f)
+	if ip.up != nil {
+		ip.up.returnCredit(now, vc)
+	}
+	r.flits++
+	op.sent++
+	r.inUsed[in] = true
+	r.outUsed[out] = true
+}
+
+// routeOf returns the output port for p, computing the route function
+// once per destination and checking the port on first computation.
+func (r *Router) routeOf(p *Packet) int {
+	d := int(p.Dst)
+	if d >= 0 && d < len(r.routes) && r.routes[d] >= 0 {
+		return int(r.routes[d])
+	}
+	out := r.route(p)
+	if out < 0 || out >= len(r.outs) {
+		panic(fmt.Sprintf("noc: %s route(%d->%d) = invalid port %d", r.Name, p.Src, p.Dst, out))
+	}
+	if d >= 0 {
+		for len(r.routes) <= d {
+			r.routes = append(r.routes, -1)
+		}
+		r.routes[d] = int32(out)
+	}
+	return out
 }

@@ -17,9 +17,10 @@ import (
 // protocol layer sits above noc), so callers supply the payload codec.
 //
 // Pipe ownership: every flit pipe is serialized at its consumer (router
-// input ports and NI eject sides) and every credit pipe at its consumer
-// (router output ports and NI inject sides), so each shared pipe is
-// written exactly once.
+// input ports and NI eject sides), so each shared pipe is written exactly
+// once. The credit wire of an output port (router outputs and NI inject
+// sides) is serialized with the port, in the shape of a credit pipe: a
+// count, then one (delta-coded delivery cycle, VC) entry per credit.
 
 // PayloadEnc encodes one packet payload.
 type PayloadEnc func(e *ckpt.Enc, payload any)
@@ -104,14 +105,50 @@ func (t *pktTable) getFlit(d *ckpt.Dec) Flit {
 	return Flit{Pkt: p, Seq: seq}
 }
 
-func putCredit(e *ckpt.Enc, c Credit) { e.U64(uint64(c.VC)) }
-
-func getCredit(d *ckpt.Dec) Credit {
-	vc := d.U64()
-	if vc >= NumClasses {
-		d.Corrupt("credit VC %d out of range", vc)
+// saveCredits writes the port's pending credits as credit-pipe entries.
+func (op *OutPort) saveCredits(e *ckpt.Enc) {
+	n := 0
+	for _, k := range op.pend {
+		n += k
 	}
-	return Credit{VC: Class(vc)}
+	e.U64(uint64(n))
+	prev := sim.Cycle(0)
+	for c, k := range op.pend {
+		for ; k > 0; k-- {
+			e.I64(int64(op.pendAt - prev))
+			prev = op.pendAt
+			e.U64(uint64(c))
+		}
+	}
+}
+
+// loadCredits reads credit-pipe entries into the wire. Entries must come
+// in delivery order; those due before the last delivery cycle were
+// already deliverable at the snapshot, so they fold straight into
+// credits and only the last cycle's batch stays pending.
+func (op *OutPort) loadCredits(d *ckpt.Dec) {
+	n := d.Count()
+	op.pend = [NumClasses]int{}
+	op.pendAt = sim.NeverWake
+	prev := sim.Cycle(0)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		at := prev + sim.Cycle(d.I64())
+		vc := d.U64()
+		if vc >= NumClasses {
+			d.Corrupt("credit VC %d out of range", vc)
+			return
+		}
+		if at < prev {
+			d.Corrupt("credit delivery cycle %d precedes %d", at, prev)
+			return
+		}
+		if at > prev {
+			op.settle(at - 1) // the earlier batch was due before at
+		}
+		op.pend[vc]++
+		op.pendAt = at
+		prev = at
+	}
 }
 
 // forEachPacket walks every live packet reference in the fixed traversal
@@ -176,8 +213,8 @@ func (rn *RouterNetwork) SaveState(e *ckpt.Enc, put PayloadEnc) {
 		for c := range ni.out.credits {
 			e.Int(ni.out.credits[c])
 		}
-		if ni.out.creditIn != nil {
-			ni.out.creditIn.SaveState(e, putCredit)
+		if ni.out.link != nil {
+			ni.out.saveCredits(e)
 		}
 		if ni.eject != nil {
 			ni.eject.SaveState(e, t.putFlit)
@@ -211,8 +248,8 @@ func (rn *RouterNetwork) SaveState(e *ckpt.Enc, put PayloadEnc) {
 				}
 			}
 			e.I64(op.sent)
-			if op.creditIn != nil {
-				op.creditIn.SaveState(e, putCredit)
+			if op.link != nil {
+				op.saveCredits(e)
 			}
 		}
 	}
@@ -261,8 +298,8 @@ func (rn *RouterNetwork) LoadState(d *ckpt.Dec, get PayloadDec) {
 		for c := range ni.out.credits {
 			ni.out.credits[c] = d.Int()
 		}
-		if ni.out.creditIn != nil {
-			ni.out.creditIn.LoadState(d, getCredit)
+		if ni.out.link != nil {
+			ni.out.loadCredits(d)
 		}
 		if ni.eject != nil {
 			ni.eject.LoadState(d, t.getFlit)
@@ -294,6 +331,7 @@ func (rn *RouterNetwork) LoadState(d *ckpt.Dec, get PayloadDec) {
 				for i := 0; i < cnt; i++ {
 					q.buf[i] = t.getFlit(d)
 				}
+				q.syncOcc()
 			}
 			if ip.in != nil {
 				ip.in.LoadState(d, t.getFlit)
@@ -312,8 +350,8 @@ func (rn *RouterNetwork) LoadState(d *ckpt.Dec, get PayloadDec) {
 			}
 			op.sent = d.I64()
 			op.sentFolded = op.sent
-			if op.creditIn != nil {
-				op.creditIn.LoadState(d, getCredit)
+			if op.link != nil {
+				op.loadCredits(d)
 			}
 		}
 		if d.Err() != nil {

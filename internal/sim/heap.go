@@ -6,9 +6,10 @@ type Lesser[T any] interface {
 	Less(T) bool
 }
 
-// MinHeap is a binary min-heap shared by the engine's wake calendar and
-// any component that schedules its own future work (the Ideal fabric's
-// delivery calendar). The zero value is an empty heap.
+// MinHeap is a binary min-heap shared by the engine's far wake arms (those
+// beyond the wake wheel's window) and any component that schedules its own
+// future work (the Ideal fabric's delivery calendar). The zero value is an
+// empty heap.
 type MinHeap[T Lesser[T]] struct {
 	s []T
 }

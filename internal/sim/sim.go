@@ -15,10 +15,10 @@
 // # The scheduled kernel
 //
 // By default the Engine does not tick every component every cycle. Each
-// registered component is armed in a wake calendar (a min-heap keyed by
-// cycle); Step advances the clock in jumps to the next armed cycle and,
-// within a cycle, ticks only the armed components — still in registration
-// order. Three contracts make the skipping invisible:
+// registered component is armed in a wake calendar; Step advances the
+// clock in jumps to the next armed cycle and, within a cycle, ticks only
+// the armed components — still in registration order. Three contracts
+// make the skipping invisible:
 //
 //   - A component implementing Sleeper reports, after each Tick, the next
 //     cycle at which it can possibly do work. The report must account for
@@ -37,9 +37,26 @@
 // Under these contracts the scheduled kernel is cycle-for-cycle identical
 // to the naive tick-everything kernel (SetScheduled(false)); the
 // conformance suite asserts state-hash equality between the two.
+//
+// # The wake wheel
+//
+// The calendar is a timing wheel (Varghese & Lauck, SOSP 1987) of 256
+// slots, one per cycle of the window [now, now+255]. A slot is a bitset
+// over registration indices, so walking its set bits upward is
+// registration order, and a same-cycle wake for a component past the
+// cursor sets a bit the walk still reaches. A 256-bit map of occupied
+// slots finds the next armed cycle in a few word operations. Arms
+// beyond the window wait in a min-heap and move onto the wheel whenever
+// the clock moves. Each component holds at most one arm, its earliest;
+// the report it gives after a tick replaces any arm it raised during that
+// tick. A component that ticks every cycle is simply re-armed for the
+// next one.
 package sim
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Cycle is a simulation timestamp in clock cycles.
 type Cycle int64
@@ -112,18 +129,21 @@ type Flusher interface {
 	Flush(now Cycle)
 }
 
-// wakeEntry is one armed (cycle, component) pair in the calendar.
+// wakeEntry is one far arm (at least wheelSize cycles ahead) in the
+// overflow heap.
 type wakeEntry struct {
 	at  Cycle
 	idx int
 }
 
-// activeMark is the wakeAt sentinel for components in the active set: they
-// tick every cycle without touching the calendar heap, so the heap only
-// pays for genuine sleep/wake transitions. Real arms are always >= 1, so
-// the sentinel also invalidates any stale heap entries left from before
-// the component went active.
-const activeMark Cycle = 0
+// The wake wheel has wheelSize slots, one per cycle of the window
+// [now, now+wheelSize-1]; cycle c lives in slot c&wheelMask. Each slot is a
+// bitset over registration indices.
+const (
+	wheelSize  = 256
+	wheelMask  = wheelSize - 1
+	wheelWords = wheelSize / 64 // words of the slot-occupancy bitmap
+)
 
 // Engine drives a set of Tickers with a shared clock.
 type Engine struct {
@@ -131,18 +151,23 @@ type Engine struct {
 	tickers []Ticker
 	sleeper []Sleeper // parallel to tickers; nil for plain tickers
 
-	naive  bool               // tick everything every cycle (conformance mode)
-	wakeAt []Cycle            // earliest armed cycle per component (NeverWake = none)
-	heap   MinHeap[wakeEntry] // calendar on (at, idx); may hold stale entries
+	naive  bool    // tick everything every cycle (conformance mode)
+	wakeAt []Cycle // armed cycle per component (NeverWake = none)
 
-	// The active set: components currently ticking every cycle, sorted by
-	// registration index. Membership is wakeAt[idx] == activeMark (which
-	// also serves as the live filter for lazy removal); nActive counts
-	// live members.
-	active  []int
-	joins   []int // components that went active this cycle (ascending)
-	scratch []int // double buffer for compacting active
-	nActive int
+	// The wheel: slot s is bits[s*words : (s+1)*words], one bit per
+	// registration index, set exactly for the components armed at the
+	// window cycle that maps to s. count[s] is its population and occ has
+	// bit s set while count[s] > 0.
+	bits  []uint64
+	words int
+	count [wheelSize]int32
+	occ   [wheelWords]uint64
+
+	// far holds arms beyond the window, lazily: an entry is live while
+	// wakeAt[idx] still equals at. Every clock move migrates the entries
+	// that entered the window onto the wheel, so all live far arms lie at
+	// or beyond now+wheelSize.
+	far MinHeap[wakeEntry]
 
 	inCycle bool // a cycle is being processed
 	cursor  int  // index currently being ticked within the cycle
@@ -174,6 +199,9 @@ func (e *Engine) add(t Ticker) {
 	s, _ := t.(Sleeper)
 	e.sleeper = append(e.sleeper, s)
 	e.wakeAt = append(e.wakeAt, NeverWake)
+	if w := (len(e.tickers) + 63) / 64; w > e.words {
+		e.growWheel(w)
+	}
 	if b, ok := t.(WakeBinder); ok {
 		b.BindWaker(&engineWaker{e: e, idx: idx})
 	}
@@ -190,16 +218,7 @@ func (e *Engine) SetScheduled(on bool) {
 	}
 	e.naive = !on
 	if on {
-		e.heap.Clear()
-		e.active = e.active[:0]
-		e.joins = e.joins[:0]
-		e.nActive = 0
-		for i := range e.wakeAt {
-			e.wakeAt[i] = NeverWake
-		}
-		for i := range e.tickers {
-			e.arm(i, e.now+1)
-		}
+		e.rearmAll()
 	}
 }
 
@@ -243,10 +262,10 @@ func (e *Engine) Step(n Cycle) {
 	for {
 		at, ok := e.nextArmed()
 		if !ok || at > target {
-			e.now = target
+			e.moveTo(target)
 			return
 		}
-		e.now = at
+		e.moveTo(at)
 		e.runCycle()
 	}
 }
@@ -274,10 +293,10 @@ func (e *Engine) RunUntil(cond func() bool, limit Cycle) bool {
 		} else {
 			at, ok := e.nextArmed()
 			if !ok || at > target {
-				e.now = target
+				e.moveTo(target)
 				return cond() // the clock moved; cond may read it
 			}
-			e.now = at
+			e.moveTo(at)
 			e.runCycle()
 		}
 		if cond() {
@@ -298,16 +317,25 @@ func (e *Engine) tickAll() {
 	}
 }
 
-// nextArmed returns the earliest armed cycle, discarding stale heap
-// entries. A non-empty active set always means work next cycle.
+// nextArmed returns the earliest armed cycle: the nearest occupied wheel
+// slot after now, else the earliest live far arm. The slot of now itself
+// is always empty between cycles.
 func (e *Engine) nextArmed() (Cycle, bool) {
-	if e.nActive > 0 {
-		return e.now + 1, true
+	from := int((e.now + 1) & wheelMask)
+	w := from >> 6
+	m := e.occ[w] &^ (1<<(from&63) - 1)
+	for i := 0; i <= wheelWords; i++ {
+		if m != 0 {
+			s := w<<6 | bits.TrailingZeros64(m)
+			return e.now + 1 + Cycle((s-from)&wheelMask), true
+		}
+		w = (w + 1) % wheelWords
+		m = e.occ[w]
 	}
-	for e.heap.Len() > 0 {
-		top := e.heap.Min()
+	for e.far.Len() > 0 {
+		top := e.far.Min()
 		if e.wakeAt[top.idx] != top.at {
-			e.heap.Pop() // superseded by an earlier arm or already ticked
+			e.far.Pop() // superseded by another arm
 			continue
 		}
 		return top.at, true
@@ -315,116 +343,60 @@ func (e *Engine) nextArmed() (Cycle, bool) {
 	return 0, false
 }
 
-// runCycle ticks every component due at e.now in registration order,
-// merging the sorted active set with the calendar's due entries. Wakes
-// raised during the cycle for components whose turn has not passed yet
-// join the same cycle; all others land on a later cycle.
+// moveTo sets the clock and migrates the far arms that entered the
+// window onto the wheel. Moves only go forward, and never past the
+// earliest armed cycle, so no wheel arm falls behind the clock.
+func (e *Engine) moveTo(now Cycle) {
+	e.now = now
+	limit := now + wheelSize - 1
+	for e.far.Len() > 0 && e.far.Min().at <= limit {
+		w := e.far.Pop()
+		// A component re-armed to the same far cycle after an earlier
+		// supersession leaves a duplicate entry; its bit is already set.
+		if e.wakeAt[w.idx] == w.at && !e.onWheel(w.idx, w.at) {
+			e.setBit(w.idx, w.at)
+		}
+	}
+}
+
+// runCycle ticks every component armed at e.now in registration order by
+// walking the slot's set bits upward. A wake raised during the cycle for
+// a component whose turn has not passed yet sets a bit above the cursor,
+// which the walk still reaches; all others land on a later cycle.
 func (e *Engine) runCycle() {
 	e.inCycle = true
 	e.workCycles++
-	ai := 0
-	for {
-		// Next live heap candidate due this cycle.
-		hIdx := -1
-		for e.heap.Len() > 0 && e.heap.Min().at == e.now {
-			if e.wakeAt[e.heap.Min().idx] != e.now {
-				e.heap.Pop()
-				continue
-			}
-			hIdx = e.heap.Min().idx
-			break
-		}
-		// Next live active candidate.
-		aIdx := -1
-		for ai < len(e.active) {
-			if e.wakeAt[e.active[ai]] != activeMark {
-				ai++ // deactivated on an earlier cycle; lazily dropped
-				continue
-			}
-			aIdx = e.active[ai]
-			break
-		}
-		var idx int
-		switch {
-		case aIdx < 0 && hIdx < 0:
-			e.compactActive()
-			e.inCycle = false
-			e.cursor = -1
-			return
-		case aIdx >= 0 && (hIdx < 0 || aIdx < hIdx):
-			idx = aIdx
-			ai++
-		default:
-			idx = hIdx
-			e.heap.Pop()
+	s := int(e.now & wheelMask)
+	slot := e.bits[s*e.words : (s+1)*e.words]
+	for wi := range slot {
+		for slot[wi] != 0 {
+			b := bits.TrailingZeros64(slot[wi])
+			idx := wi<<6 | b
+			e.clearBit(idx, s)
 			e.wakeAt[idx] = NeverWake // arms during the tick register
-		}
-		e.cursor = idx
-		e.tickers[idx].Tick(e.now)
-		e.ticks++
-		rep := e.now + 1
-		if s := e.sleeper[idx]; s != nil {
-			rep = s.NextWake(e.now)
-		}
-		if rep <= e.now+1 {
-			// Ticking every cycle: keep (or put) it in the active set.
-			if e.wakeAt[idx] != activeMark {
-				e.wakeAt[idx] = activeMark
-				e.nActive++
-				e.joins = append(e.joins, idx)
+			e.cursor = idx
+			e.tickers[idx].Tick(e.now)
+			e.ticks++
+			rep := e.now + 1
+			if sl := e.sleeper[idx]; sl != nil {
+				rep = sl.NextWake(e.now)
 			}
-		} else {
-			if e.wakeAt[idx] == activeMark {
-				e.nActive--
-			}
-			e.wakeAt[idx] = NeverWake
+			// The report supersedes any arm the component raised during
+			// its own tick: it already accounts for that input.
+			e.disarm(idx)
 			e.arm(idx, rep)
 		}
 	}
+	e.inCycle = false
+	e.cursor = -1
 }
 
-// compactActive folds this cycle's joins into the active list and drops
-// deactivated members, keeping it sorted by registration index. joins is
-// already ascending because ticks run in index order.
-func (e *Engine) compactActive() {
-	if len(e.joins) == 0 {
-		// Cheap path: drop stale members in place only if any exist.
-		if e.nActive == len(e.active) {
-			return
-		}
-		live := e.active[:0]
-		for _, idx := range e.active {
-			if e.wakeAt[idx] == activeMark {
-				live = append(live, idx)
-			}
-		}
-		e.active = live
-		return
-	}
-	out := e.scratch[:0]
-	ji := 0
-	for _, idx := range e.active {
-		if e.wakeAt[idx] != activeMark {
-			continue
-		}
-		for ji < len(e.joins) && e.joins[ji] < idx {
-			out = append(out, e.joins[ji])
-			ji++
-		}
-		out = append(out, idx)
-	}
-	out = append(out, e.joins[ji:]...)
-	e.scratch = e.active[:0]
-	e.active = out
-	e.joins = e.joins[:0]
-}
-
-// arm schedules component idx to tick at cycle at. Values not in the strict
-// future are clamped to the earliest cycle consistent with the naive
-// kernel's registration-order semantics (see Waker). Arms for active-set
-// members are redundant (they tick every cycle) and ignored.
+// arm schedules component idx to tick at cycle at, keeping only the
+// earliest arm. Values not in the strict future are clamped to the
+// earliest cycle consistent with the naive kernel's registration-order
+// semantics (see Waker).
 func (e *Engine) arm(idx int, at Cycle) {
-	if e.naive || at == NeverWake || e.wakeAt[idx] == activeMark {
+	if e.naive || at == NeverWake {
 		return
 	}
 	if at <= e.now {
@@ -434,9 +406,75 @@ func (e *Engine) arm(idx int, at Cycle) {
 			at = e.now + 1
 		}
 	}
-	if at < e.wakeAt[idx] {
-		e.wakeAt[idx] = at
-		e.heap.Push(wakeEntry{at: at, idx: idx})
+	if at >= e.wakeAt[idx] {
+		return
+	}
+	e.disarm(idx)
+	e.wakeAt[idx] = at
+	if at-e.now < wheelSize {
+		e.setBit(idx, at)
+	} else {
+		e.far.Push(wakeEntry{at: at, idx: idx})
+	}
+}
+
+// disarm drops component idx's pending arm. A wheel bit is cleared
+// eagerly; a far entry goes stale and is discarded when it surfaces.
+func (e *Engine) disarm(idx int) {
+	at := e.wakeAt[idx]
+	if at == NeverWake {
+		return
+	}
+	if at-e.now < wheelSize {
+		e.clearBit(idx, int(at&wheelMask))
+	}
+	e.wakeAt[idx] = NeverWake
+}
+
+func (e *Engine) onWheel(idx int, at Cycle) bool {
+	s := int(at & wheelMask)
+	return e.bits[s*e.words+idx>>6]&(1<<(idx&63)) != 0
+}
+
+func (e *Engine) setBit(idx int, at Cycle) {
+	s := int(at & wheelMask)
+	e.bits[s*e.words+idx>>6] |= 1 << (idx & 63)
+	if e.count[s]++; e.count[s] == 1 {
+		e.occ[s>>6] |= 1 << (s & 63)
+	}
+}
+
+func (e *Engine) clearBit(idx, s int) {
+	e.bits[s*e.words+idx>>6] &^= 1 << (idx & 63)
+	if e.count[s]--; e.count[s] == 0 {
+		e.occ[s>>6] &^= 1 << (s & 63)
+	}
+}
+
+// growWheel widens every slot to words words, keeping the armed bits.
+func (e *Engine) growWheel(words int) {
+	nb := make([]uint64, wheelSize*words)
+	for s := 0; s < wheelSize; s++ {
+		copy(nb[s*words:], e.bits[s*e.words:(s+1)*e.words])
+	}
+	e.bits, e.words = nb, words
+}
+
+// rearmAll clears the calendar and arms every component for the next
+// cycle; each Sleeper's first report (which must cover all in-flight
+// input) then rebuilds it.
+func (e *Engine) rearmAll() {
+	clear(e.bits)
+	e.count = [wheelSize]int32{}
+	e.occ = [wheelWords]uint64{}
+	e.far.Clear()
+	e.inCycle = false
+	e.cursor = 0
+	for i := range e.wakeAt {
+		e.wakeAt[i] = NeverWake
+	}
+	for i := range e.tickers {
+		e.arm(i, e.now+1)
 	}
 }
 
