@@ -1,6 +1,7 @@
 package nocout
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -9,15 +10,15 @@ import (
 )
 
 // This file benchmarks the workload layer: raw per-stream generation
-// cost for every registered workload, and a full Quick-quality chip
-// measurement driven by a recorded capture vs the live synthetic
-// generator. CI archives the results as BENCH_workload.json so the
+// cost for every registered workload, trace decode, and a full
+// Quick-quality chip measurement driven by a recorded trace vs the live
+// synthetic generator. CI archives the results as BENCH_workload.json so the
 // workload layer's perf trajectory is tracked PR over PR alongside the
 // kernel's.
 
 // BenchmarkWorkloadStream measures stream generation for every
-// registered workload plus a capture replay of the first; ns/op is
-// ns per generated instruction.
+// registered workload plus a one-block NOC3 trace replay; ns/op is ns
+// per generated instruction.
 func BenchmarkWorkloadStream(b *testing.B) {
 	for _, w := range RegisteredWorkloads() {
 		b.Run(w.Name(), func(b *testing.B) {
@@ -28,12 +29,16 @@ func BenchmarkWorkloadStream(b *testing.B) {
 			}
 		})
 	}
-	b.Run("Capture-Replay", func(b *testing.B) {
-		cap, err := workload.Record(workload.Synth(workload.DataServing), 1, 4096, 1)
+	b.Run("Trace-Replay", func(b *testing.B) {
+		var buf bytes.Buffer
+		if err := workload.WriteNOC3(&buf, workload.Synth(workload.DataServing), 1, 4096, 1, 0); err != nil {
+			b.Fatal(err)
+		}
+		tf, err := workload.ParseTraceBytes(buf.Bytes())
 		if err != nil {
 			b.Fatal(err)
 		}
-		st := cap.StreamFor(0, 1)
+		st := tf.StreamFor(0, 1)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			st.Next()
@@ -41,12 +46,11 @@ func BenchmarkWorkloadStream(b *testing.B) {
 	})
 }
 
-// BenchmarkTraceFormat compares the two trace container formats on the
-// same 16-core Quick-length recording: decode cost (ns/op is ns per
-// replayed instruction) and on-disk compression ratio (in-memory stream
-// bytes over file bytes, reported as compress-x). NOC2 decodes once up
-// front and replays from memory; NOC3 decodes blocks as replay reaches
-// them, so its ns/op includes steady-state block decode.
+// BenchmarkTraceFormat measures the trace container on a 16-core
+// Quick-length recording: decode cost (ns/op is ns per replayed
+// instruction, steady-state block decode included, as replay decodes
+// blocks when it reaches them) and on-disk compression ratio (in-memory
+// stream bytes over file bytes, reported as compress-x).
 func BenchmarkTraceFormat(b *testing.B) {
 	cfg := DefaultConfig(Mesh)
 	cfg.Cores = 16
@@ -55,46 +59,16 @@ func BenchmarkTraceFormat(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	dir := b.TempDir()
-	noc2 := filepath.Join(dir, "bench2.noctrace")
-	noc3 := filepath.Join(dir, "bench3.noctrace")
-	cap, err := RecordWorkload(src, cfg.Cores, perCore, cfg.Seed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := cap.Save(noc2); err != nil {
-		b.Fatal(err)
-	}
+	noc3 := filepath.Join(b.TempDir(), "bench3.noctrace")
 	if err := RecordTraceFile(noc3, src, cfg.Cores, perCore, cfg.Seed); err != nil {
 		b.Fatal(err)
 	}
-	rawBytes := float64(cfg.Cores) * float64(perCore) * 24 // in-memory cpu.Instr size
-	compressX := func(b *testing.B, path string) {
-		st, err := os.Stat(path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rawBytes/float64(st.Size()), "compress-x")
+	st, err := os.Stat(noc3)
+	if err != nil {
+		b.Fatal(err)
 	}
+	rawBytes := float64(cfg.Cores) * float64(perCore) * 24 // in-memory cpu.Instr size
 
-	b.Run("noc2-decode", func(b *testing.B) {
-		total := int64(0)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			c, err := LoadCapture(noc2)
-			if err != nil {
-				b.Fatal(err)
-			}
-			st := c.StreamFor(0, 1)
-			for k := 0; k < perCore; k++ {
-				st.Next()
-			}
-			total += int64(perCore)
-		}
-		b.StopTimer()
-		compressX(b, noc2)
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(total), "ns/instr")
-	})
 	b.Run("noc3-decode", func(b *testing.B) {
 		total := int64(0)
 		b.ResetTimer()
@@ -111,14 +85,14 @@ func BenchmarkTraceFormat(b *testing.B) {
 			tf.Close()
 		}
 		b.StopTimer()
-		compressX(b, noc3)
+		b.ReportMetric(rawBytes/float64(st.Size()), "compress-x")
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(total), "ns/instr")
 	})
 }
 
 // BenchmarkWorkloadQuick compares a Quick-quality 16-core mesh
 // measurement driven synthetically against the same measurement driven
-// by a non-wrapping recorded capture (the ns/simcycle gap is the cost
+// by a non-wrapping NOC3 recording (the ns/simcycle gap is the cost
 // — or saving — of replay on the full simulation path).
 func BenchmarkWorkloadQuick(b *testing.B) {
 	cfg := DefaultConfig(Mesh)
@@ -145,14 +119,18 @@ func BenchmarkWorkloadQuick(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		cap, err := RecordWorkload(src, cfg.Cores, int(Quick.Warmup+Quick.Window)*3, cfg.Seed)
+		path := filepath.Join(b.TempDir(), "mrc.noctrace")
+		if err := RecordTraceFile(path, src, cfg.Cores, int(Quick.Warmup+Quick.Window)*3, cfg.Seed); err != nil {
+			b.Fatal(err)
+		}
+		tf, err := LoadTrace(path)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		var res Result
 		for i := 0; i < b.N; i++ {
-			res = RunWorkload(cfg, cap, Quick)
+			res = RunWorkload(cfg, tf, Quick)
 		}
 		report(b, res)
 	})

@@ -45,8 +45,8 @@ import (
 const ManifestVersion = 1
 
 // Decode caps: corrupt or hostile campaign files must produce clean
-// errors, not multi-gigabyte allocations (the ReadTrace/ReadCapture
-// hardening contract, applied to the campaign formats).
+// errors, not multi-gigabyte allocations (the trace decoders' hardening
+// contract, applied to the campaign formats).
 const (
 	maxManifestBytes  = 64 << 20 // manifest.json (a point encodes to ~1KB)
 	maxManifestPoints = 1 << 20

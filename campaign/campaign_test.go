@@ -342,12 +342,8 @@ func TestCampaignTraceWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cap, err := nocout.RecordWorkload(src, 8, 50000, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	trace := filepath.Join(t.TempDir(), "ws.noctrace")
-	if err := cap.Save(trace); err != nil {
+	if err := nocout.RecordTraceFile(trace, src, 8, 50000, 1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -386,13 +382,17 @@ func TestCampaignTraceWorkload(t *testing.T) {
 		t.Fatalf("rehydrated trace campaign must be fully cached, got %+v", stats)
 	}
 
-	// The same capture passed by *value* cannot rehydrate — its name
+	// The same trace passed by *value* cannot rehydrate — its name
 	// resolves to the synthetic registry entry, a different workload —
 	// and Create must refuse loudly rather than let a joining worker
 	// silently simulate the wrong one.
+	loaded, err := nocout.LoadTrace(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
 	byValue, err := nocout.NewExperiment(
 		nocout.WithDesigns(nocout.Mesh),
-		nocout.WithWorkloadValues(cap),
+		nocout.WithWorkloadValues(loaded),
 		nocout.WithCoreCounts(8),
 		nocout.WithQuality(tiny),
 	).Sweep()

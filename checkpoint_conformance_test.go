@@ -107,9 +107,7 @@ func TestCheckpointHierarchyConformance(t *testing.T) {
 // trace snapshots and restores mid-trace bit-identically — the (block,
 // offset) stream cursors serialize, the restore seeks each core's block
 // from its keyframe, and the window after the snapshot is
-// cycle-for-cycle identical to the donor. The NOC2 capture of the same
-// recording is held to the same contract, proving cursor semantics are
-// format-independent.
+// cycle-for-cycle identical to the donor.
 func TestCheckpointNOC3TraceConformance(t *testing.T) {
 	cfg := DefaultConfig(Mesh)
 	cfg.Cores = 16
@@ -118,27 +116,13 @@ func TestCheckpointNOC3TraceConformance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	noc3 := filepath.Join(dir, "mrc.noctrace")
+	noc3 := filepath.Join(t.TempDir(), "mrc.noctrace")
 	if err := workload.RecordFile(noc3, src, cfg.Cores, perCore, cfg.Seed); err != nil {
 		t.Fatal(err)
 	}
-	cap, err := workload.Record(src, cfg.Cores, perCore, cfg.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name string
-		w    workload.Workload
-	}{
-		{"noc2", cap},
-		{"noc3", mustLoadTrace(t, noc3)},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			donor, snap, _ := warmSnapshot(t, cfg, tc.w, confQ.Warmup)
-			verifyRestore(t, donor, snap, cfg, tc.w, confQ.Window)
-		})
-	}
+	w := mustLoadTrace(t, noc3)
+	donor, snap, _ := warmSnapshot(t, cfg, w, confQ.Warmup)
+	verifyRestore(t, donor, snap, cfg, w, confQ.Window)
 }
 
 func mustLoadTrace(t *testing.T, path string) workload.Workload {

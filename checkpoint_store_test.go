@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -182,5 +183,53 @@ func TestCheckpointStoreSelfHeals(t *testing.T) {
 	hits, misses, _ := st.Stats()
 	if hits != 1 || misses != 2 {
 		t.Fatalf("self-heal stats: hits %d, misses %d; want 1, 2", hits, misses)
+	}
+}
+
+// TestCheckpointSurvivesTraceConversion: a legacy NOC2 trace and its
+// -trace-convert output are one recording, so they share one warm
+// checkpoint. A checkpointed Runner warms the prefix on the NOC2 file;
+// the same sweep on the converted file restores it (a hit) and reports
+// exactly what an uncheckpointed run does.
+func TestCheckpointSurvivesTraceConversion(t *testing.T) {
+	const noc2 = "internal/workload/testdata/consolidated-3x700-seed9.noc2"
+	noc3 := filepath.Join(t.TempDir(), "conv.noctrace")
+	if err := ConvertTrace(noc2, noc3); err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(Mesh)
+	cfg.Cores = 16
+	sweep := func(path string) Sweep {
+		sw, err := NewExperiment(
+			WithVariant("Mesh", cfg),
+			WithWorkloads("trace:"+path),
+			WithQuality(Quality{Warmup: 2500, Window: 3000, Seeds: 1}),
+		).Sweep()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sw
+	}
+	ctx := context.Background()
+	st, err := NewCheckpointStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (&Runner{Checkpoints: st}).Run(ctx, sweep(noc2)); err != nil {
+		t.Fatal(err)
+	}
+	warm, err := (&Runner{Checkpoints: st}).Run(ctx, sweep(noc3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses, unkeyed := st.Stats(); hits != 1 || misses != 1 || unkeyed != 0 {
+		t.Fatalf("store stats: hits %d, misses %d, unkeyed %d; want 1, 1, 0", hits, misses, unkeyed)
+	}
+	plain, err := (&Runner{}).Run(ctx, sweep(noc3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := reportJSON(t, warm), reportJSON(t, plain); !bytes.Equal(got, want) {
+		t.Fatalf("restored report differs from the uncheckpointed one:\n%s\nvs\n%s", got, want)
 	}
 }

@@ -42,7 +42,7 @@ type Point struct {
 	// the JSON encoding so a report fully reproduces its runs.
 	Config Config `json:"config"`
 	// WorkloadSpec records the parse spec the workload came from when it
-	// is not just the name — today the "trace:<path>" capture scheme —
+	// is not just the name — today the "trace:<path>" scheme —
 	// so a campaign worker in another process can rehydrate the point.
 	WorkloadSpec string `json:"workload_spec,omitempty"`
 	// Unlimited records WithUnlimitedCores, so a rehydrated point
@@ -146,7 +146,7 @@ func WithWorkloads(names ...string) Option {
 }
 
 // WithWorkloadValues adds constructed Workload values — an unregistered
-// Mix, a loaded Capture, a user implementation — to the sweep after any
+// Mix, a loaded TraceFile, a user implementation — to the sweep after any
 // named ones.
 func WithWorkloadValues(ws ...Workload) Option {
 	return func(e *Experiment) { e.workloadVals = append(e.workloadVals, ws...) }
@@ -234,7 +234,7 @@ func (e *Experiment) Sweep() (Sweep, error) {
 	wls := make([]workload.Workload, 0, len(names)+len(e.workloadVals))
 	// Points are keyed by workload *name*, so two distinct workloads
 	// sharing one name would silently collapse to whichever expands
-	// first — easy to hit since a capture replays under its source's
+	// first — easy to hit since a trace replays under its source's
 	// name. Equal spellings of the same workload dedup; genuinely
 	// different sources with one name are a hard error.
 	byName := map[string]workload.Workload{}
@@ -250,8 +250,8 @@ func (e *Experiment) Sweep() (Sweep, error) {
 		}
 		return nil
 	}
-	// specOf remembers the parse spec behind non-name workloads (trace
-	// captures), keyed by resolved name; points carry it so campaign
+	// specOf remembers the parse spec behind non-name workloads
+	// (traces), keyed by resolved name; points carry it so campaign
 	// workers in other processes can rehydrate them.
 	specOf := map[string]string{}
 	for _, n := range names {

@@ -60,9 +60,10 @@ func WriteFileAtomic(path string, data []byte) error {
 // per-key claim files in a shared directory. The two primitives are both
 // atomic on a local filesystem:
 //
-//   - acquire: O_CREATE|O_EXCL — exactly one process creates the claim;
+//   - acquire: link of a fully written temp file to the claim path —
+//     exactly one process creates the claim, and it is never seen empty;
 //   - steal:   rename of an expired claim — exactly one process wins the
-//     rename, removes the stale file, and retries the exclusive create.
+//     rename, removes the stale file, and retries the exclusive link.
 //
 // A claim expires TTL after acquisition (there is no heartbeat — set TTL
 // comfortably above the longest single unit of work). Leasing is purely
@@ -114,23 +115,21 @@ func (l *Leaser) Acquire(key string) (release func(), ok bool, err error) {
 		ttl = DefaultTTL
 	}
 	path := filepath.Join(l.Dir, key+".lease")
+	// The claim body is written to a private temp file first and only
+	// published by linking it to the claim path, so a racer never reads a
+	// claim that exists but is still empty (and would look corrupt, hence
+	// stealable).
+	tmp, err := writeClaimTemp(l.Dir, claim{Owner: l.Owner, Expires: time.Now().Add(ttl).UnixNano()})
+	if err != nil {
+		return nil, false, err
+	}
+	defer os.Remove(tmp)
 	// Two attempts: the first may find an expired claim and steal it;
-	// the second then races the exclusive create. Losing both means
+	// the second then races the exclusive link. Losing both means
 	// another live worker owns the key this pass.
 	for attempt := 0; attempt < 2; attempt++ {
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+		err := os.Link(tmp, path)
 		if err == nil {
-			body, merr := json.Marshal(claim{Owner: l.Owner, Expires: time.Now().Add(ttl).UnixNano()})
-			if merr == nil {
-				_, merr = f.Write(body)
-			}
-			if cerr := f.Close(); merr == nil {
-				merr = cerr
-			}
-			if merr != nil {
-				os.Remove(path)
-				return nil, false, merr
-			}
 			return func() { l.release(path) }, true, nil
 		}
 		if !os.IsExist(err) {
@@ -149,7 +148,7 @@ func (l *Leaser) Acquire(key string) (release func(), ok bool, err error) {
 		}
 		// Expired (or corrupt) claim: steal it. Rename is the arbiter —
 		// one stealer wins, everyone else sees ENOENT and falls back to
-		// racing the fresh exclusive create.
+		// racing the fresh exclusive link.
 		stale := path + ".stale." + l.Owner + "." + strconv.FormatInt(time.Now().UnixNano(), 36)
 		if rerr := os.Rename(path, stale); rerr != nil {
 			if os.IsNotExist(rerr) {
@@ -160,6 +159,28 @@ func (l *Leaser) Acquire(key string) (release func(), ok bool, err error) {
 		os.Remove(stale)
 	}
 	return nil, false, nil
+}
+
+// writeClaimTemp writes cl to a fresh temp file in dir and returns its
+// path.
+func writeClaimTemp(dir string, cl claim) (string, error) {
+	body, err := json.Marshal(cl)
+	if err != nil {
+		return "", err
+	}
+	f, err := os.CreateTemp(dir, ".claim-*")
+	if err != nil {
+		return "", err
+	}
+	_, werr := f.Write(body)
+	if cerr := f.Close(); werr == nil {
+		werr = cerr
+	}
+	if werr != nil {
+		os.Remove(f.Name())
+		return "", werr
+	}
+	return f.Name(), nil
 }
 
 // release removes our claim, if it is still ours: an expired claim may

@@ -138,26 +138,3 @@ func TestDesignString(t *testing.T) {
 		t.Fatal("unknown design should still format")
 	}
 }
-
-func TestChannelOfCoversAllChannels(t *testing.T) {
-	seen := map[int]bool{}
-	for line := uint64(0); line < 4096; line++ {
-		ch := channelOf(line, 4)
-		if ch < 0 || ch > 3 {
-			t.Fatalf("channelOf out of range: %d", ch)
-		}
-		seen[ch] = true
-	}
-	if len(seen) != 4 {
-		t.Fatalf("only %d channels used", len(seen))
-	}
-	// The pathological per-core local strides must spread too.
-	seen = map[int]bool{}
-	for core := uint64(0); core < 64; core++ {
-		base := (uint64(0x0100_0000_0000) + core*0x0001_0000_0000) / 64
-		seen[channelOf(base, 4)] = true
-	}
-	if len(seen) < 3 {
-		t.Fatalf("per-core bases alias onto %d channels", len(seen))
-	}
-}

@@ -161,8 +161,9 @@ func TestRegionOwner(t *testing.T) {
 	}
 }
 
-// TestChannelHashCoversAllChannels is the renamed home of the historical
-// channelOf spreading test (the hash is now part of the hierarchy API).
+// TestChannelHashCoversAllChannels pins the channel hash's spreading:
+// every channel is used, and the pathological per-core local strides do
+// not alias onto one channel.
 func TestChannelHashCoversAllChannels(t *testing.T) {
 	seen := map[int]bool{}
 	for line := uint64(0); line < 4096; line++ {
@@ -174,6 +175,14 @@ func TestChannelHashCoversAllChannels(t *testing.T) {
 	}
 	if len(seen) != 4 {
 		t.Fatalf("only %d channels used", len(seen))
+	}
+	seen = map[int]bool{}
+	for core := uint64(0); core < 64; core++ {
+		base := (uint64(0x0100_0000_0000) + core*0x0001_0000_0000) / 64
+		seen[ChannelHash(base, 4)] = true
+	}
+	if len(seen) < 3 {
+		t.Fatalf("per-core bases alias onto %d channels", len(seen))
 	}
 }
 
@@ -196,7 +205,7 @@ func TestSharedNUCALayoutMatchesLegacy(t *testing.T) {
 		if want := int(line % 64); bank != want || node != c.Fabric.BankNode(want) {
 			t.Fatalf("line %d: home (%v, %d), want (%v, %d)", line, node, bank, c.Fabric.BankNode(want), want)
 		}
-		if got, want := ml.ChannelOf(line), channelOf(line, cfg.MemChannels); got != want {
+		if got, want := ml.ChannelOf(line), ChannelHash(line, cfg.MemChannels); got != want {
 			t.Fatalf("line %d: channel %d, want %d", line, got, want)
 		}
 	}

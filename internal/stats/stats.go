@@ -1,79 +1,14 @@
 // Package stats provides the measurement machinery used by the evaluation
-// harness: running mean/variance, confidence intervals, geometric means and
-// latency histograms. It replaces the paper's SimFlex statistical sampling
-// with warm-up + measurement windows over multiple seeds.
+// harness: geometric means, baseline normalization, and the mergeable
+// log-bucketed latency histogram (LogHist) behind open-system tail
+// latencies. It replaces the paper's SimFlex statistical sampling with
+// warm-up + measurement windows over multiple seeds.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
-
-// Running accumulates a stream of samples with Welford's algorithm.
-type Running struct {
-	n    int64
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Add records one sample.
-func (r *Running) Add(x float64) {
-	r.n++
-	if r.n == 1 {
-		r.min, r.max = x, x
-	} else {
-		if x < r.min {
-			r.min = x
-		}
-		if x > r.max {
-			r.max = x
-		}
-	}
-	d := x - r.mean
-	r.mean += d / float64(r.n)
-	r.m2 += d * (x - r.mean)
-}
-
-// N returns the sample count.
-func (r *Running) N() int64 { return r.n }
-
-// Mean returns the sample mean (0 with no samples).
-func (r *Running) Mean() float64 { return r.mean }
-
-// Min returns the smallest sample seen.
-func (r *Running) Min() float64 { return r.min }
-
-// Max returns the largest sample seen.
-func (r *Running) Max() float64 { return r.max }
-
-// Variance returns the unbiased sample variance.
-func (r *Running) Variance() float64 {
-	if r.n < 2 {
-		return 0
-	}
-	return r.m2 / float64(r.n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func (r *Running) StdDev() float64 { return math.Sqrt(r.Variance()) }
-
-// CI95 returns the half-width of the 95% confidence interval on the mean,
-// using the normal approximation (the harness takes >=30 samples before
-// quoting intervals, matching the paper's "95% confidence, <4% error").
-func (r *Running) CI95() float64 {
-	if r.n < 2 {
-		return math.Inf(1)
-	}
-	return 1.96 * r.StdDev() / math.Sqrt(float64(r.n))
-}
-
-// String formats the mean with its confidence half-width.
-func (r *Running) String() string {
-	return fmt.Sprintf("%.4g ± %.2g (n=%d)", r.Mean(), r.CI95(), r.n)
-}
 
 // GeoMean returns the geometric mean of xs. All values must be positive.
 func GeoMean(xs []float64) float64 {
@@ -90,69 +25,6 @@ func GeoMean(xs []float64) float64 {
 	return math.Exp(s / float64(len(xs)))
 }
 
-// Histogram is a fixed-bucket latency histogram with overflow tracking.
-type Histogram struct {
-	BucketWidth int64
-	buckets     []int64
-	overflow    int64
-	total       int64
-	sum         int64
-}
-
-// NewHistogram returns a histogram with n buckets of the given width.
-func NewHistogram(n int, width int64) *Histogram {
-	if n < 1 || width < 1 {
-		panic("stats: invalid histogram shape")
-	}
-	return &Histogram{BucketWidth: width, buckets: make([]int64, n)}
-}
-
-// Add records a value.
-func (h *Histogram) Add(v int64) {
-	h.total++
-	h.sum += v
-	i := v / h.BucketWidth
-	if i < 0 {
-		i = 0
-	}
-	if int(i) >= len(h.buckets) {
-		h.overflow++
-		return
-	}
-	h.buckets[i]++
-}
-
-// Count returns the number of recorded values.
-func (h *Histogram) Count() int64 { return h.total }
-
-// Mean returns the mean of recorded values.
-func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.total)
-}
-
-// Percentile returns an upper bound for the p-quantile (0 < p <= 1) using
-// bucket upper edges; overflow values report the overflow boundary.
-func (h *Histogram) Percentile(p float64) int64 {
-	if h.total == 0 {
-		return 0
-	}
-	target := int64(math.Ceil(p * float64(h.total)))
-	var acc int64
-	for i, c := range h.buckets {
-		acc += c
-		if acc >= target {
-			return int64(i+1) * h.BucketWidth
-		}
-	}
-	return int64(len(h.buckets)) * h.BucketWidth
-}
-
-// Median is Percentile(0.5).
-func (h *Histogram) Median() int64 { return h.Percentile(0.5) }
-
 // NormalizeTo divides each value by base[i] and returns the ratios; it is
 // the helper behind every "normalized to mesh" figure.
 func NormalizeTo(vals, base []float64) []float64 {
@@ -167,17 +39,4 @@ func NormalizeTo(vals, base []float64) []float64 {
 		out[i] = vals[i] / base[i]
 	}
 	return out
-}
-
-// Median of a slice (copy, sort, middle). Used by multi-seed harnesses.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if len(s)%2 == 1 {
-		return s[len(s)/2]
-	}
-	return (s[len(s)/2-1] + s[len(s)/2]) / 2
 }

@@ -48,21 +48,15 @@ func TestFingerprintFamilies(t *testing.T) {
 		t.Fatal("phase length must change the fingerprint")
 	}
 
-	// Captures fingerprint by content, not name: two recordings of the
+	// Traces fingerprint by content, not name: two recordings of the
 	// same source at different lengths differ.
-	c1, err := Record(ws, 2, 50, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := Record(ws, 2, 60, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c1 := parseNOC3(t, writeNOC3Bytes(t, ws, 2, 50, 1, 0))
+	c2 := parseNOC3(t, writeNOC3Bytes(t, ws, 2, 60, 1, 0))
 	if bytes.Equal(fp(c1), fp(c2)) {
-		t.Fatal("capture content must drive the fingerprint")
+		t.Fatal("trace content must drive the fingerprint")
 	}
-	if !bytes.Equal(fp(c1), fp(c1)) {
-		t.Fatal("capture fingerprint not deterministic")
+	if !bytes.Equal(fp(c1), fp(parseNOC3(t, writeNOC3Bytes(t, ws, 2, 50, 1, 16)))) {
+		t.Fatal("trace fingerprint must not depend on the block length")
 	}
 
 	// Opaque implementations without Fingerprinter are a hard error.

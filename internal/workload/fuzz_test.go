@@ -5,46 +5,10 @@ import (
 	"testing"
 )
 
-// The fuzz targets hold the varint record decoders to the no-panic,
+// The fuzz targets hold the trace decoders to the no-panic,
 // no-unbounded-allocation contract on arbitrary bytes. `go test` runs
-// the seed corpus on every CI pass; `go test -fuzz FuzzReadTrace` (or
+// the seed corpus on every CI pass; `go test -fuzz FuzzReadNOC3` (or
 // FuzzReadCapture) explores further.
-
-func traceSeedCorpus(t *testing.F) [][]byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := WriteTrace(&buf, NewGenerator(DataServing, 0, 1), 200); err != nil {
-		t.Fatal(err)
-	}
-	valid := buf.Bytes()
-	return [][]byte{
-		valid,
-		valid[:len(valid)/2], // truncated body
-		valid[:5],            // truncated header
-		[]byte("NOC1"),       // magic only
-		[]byte("nope"),       // wrong magic
-		append(append([]byte{}, valid...), 0xFF, 0xFF, 0xFF),                             // trailing garbage
-		{'N', 'O', 'C', '1', 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}, // huge claimed length
-	}
-}
-
-func FuzzReadTrace(f *testing.F) {
-	for _, seed := range traceSeedCorpus(f) {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := ReadTrace(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		// Decoded traces must uphold the replay invariants.
-		for _, in := range tr.Instrs {
-			if in.Kind > 2 {
-				t.Fatalf("decoded invalid kind %d", in.Kind)
-			}
-		}
-	})
-}
 
 // FuzzReadNOC3 holds the sectioned-container reader to the same
 // contract: arbitrary bytes either fail Parse/Verify cleanly or decode
@@ -96,36 +60,29 @@ func FuzzReadNOC3(f *testing.F) {
 }
 
 func FuzzReadCapture(f *testing.F) {
-	cap, err := Record(ConsolidatedMix(), 2, 100, 1)
-	if err != nil {
-		f.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := cap.Write(&buf); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2])
-	f.Add(valid[:3])
+	data := readFixture(f)
+	f.Add(data)
+	f.Add(data[:len(data)/2])
+	f.Add(data[:3])
 	f.Add([]byte("NOC2"))
 	f.Add([]byte{'N', 'O', 'C', '2', 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		c, err := ReadCapture(bytes.NewReader(data))
+		c, err := readCapture(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		// Anything that decodes must be safe to hand to a chip build:
-		// non-empty streams, valid kinds, buildable core parameters.
-		if len(c.Cores) == 0 {
+		// Anything that decodes must be safe to convert and hand to a
+		// chip build: non-empty streams of the claimed length, buildable
+		// core parameters.
+		if len(c.cores) == 0 {
 			t.Fatal("decoded capture has no cores")
 		}
-		for i := range c.Cores {
-			cc := &c.Cores[i]
-			if len(cc.Instrs) == 0 {
-				t.Fatalf("core %d decoded with an empty stream", i)
+		for i := range c.cores {
+			cc := &c.cores[i]
+			if len(cc.instrs) == 0 || len(cc.instrs) != cc.meta.Total {
+				t.Fatalf("core %d decoded %d records for a %d-record stream", i, len(cc.instrs), cc.meta.Total)
 			}
-			if err := validCoreParams(i, cc.Params); err != nil {
+			if err := validCoreParams(i, cc.meta.Params); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -96,8 +96,8 @@ func OpenTraceFile(path string) (*TraceFile, error) {
 	return t, nil
 }
 
-// ParseTraceBytes indexes an in-memory NOC3 container (the fuzz and
-// inspection entry point).
+// ParseTraceBytes indexes an in-memory NOC3 container (the fuzz entry
+// point, and how LoadTrace opens a converted NOC2 capture).
 func ParseTraceBytes(data []byte) (*TraceFile, error) {
 	return newTraceFile(bytes.NewReader(data), int64(len(data)))
 }
@@ -114,24 +114,49 @@ func (t *TraceFile) Close() error {
 // errNotNOC3 marks inputs without the NOC3 magic.
 var errNotNOC3 = errors.New("not a NOC3 trace")
 
-// LoadTrace opens a trace file in either container format — it is how
-// the "trace:<path>" workload scheme resolves. NOC3 files open as a lazy
-// TraceFile (O(block) replay memory); NOC2 files load whole through the
-// compatibility reader, exactly as before the NOC3 format existed.
-func LoadTrace(path string) (Workload, error) {
-	f, err := os.Open(path)
+// LoadTrace opens a trace file — it is how the "trace:<path>" workload
+// scheme resolves. NOC3 files open as a lazy TraceFile (O(block) replay
+// memory). A legacy NOC2 file is decoded whole and converted in memory to
+// the NOC3 container a direct recording of the same streams produces,
+// byte for byte, so it replays, fingerprints and checkpoints exactly like
+// that recording.
+func LoadTrace(path string) (*TraceFile, error) {
+	magic, err := fileMagic(path)
 	if err != nil {
-		return nil, fmt.Errorf("workload: %w", err)
+		return nil, err
 	}
-	var magic [4]byte
-	_, rerr := io.ReadFull(f, magic[:])
-	f.Close()
-	if rerr == nil && magic == noc3Magic {
+	if magic == noc3Magic {
 		return OpenTraceFile(path)
 	}
-	// Anything else — including short files — goes to the NOC2 reader,
-	// whose errors name the format expectations.
-	return LoadCapture(path)
+	if magic != captureMagic {
+		return nil, fmt.Errorf("workload: %s is not a NOC3 trace or NOC2 capture (record one with nocout -record-trace)", path)
+	}
+	c, err := loadCapture(path)
+	if err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	if err := convertNOC3(&buf, c, 0); err != nil {
+		return nil, fmt.Errorf("workload: capture %s: %w", path, err)
+	}
+	t, err := ParseTraceBytes(buf.Bytes())
+	if err != nil {
+		return nil, fmt.Errorf("workload: capture %s: %w", path, err)
+	}
+	t.path = path
+	return t, nil
+}
+
+// fileMagic returns the first four bytes of the file at path; a shorter
+// file leaves the tail zero.
+func fileMagic(path string) (magic [4]byte, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return magic, fmt.Errorf("workload: %w", err)
+	}
+	defer f.Close()
+	io.ReadFull(f, magic[:])
+	return magic, nil
 }
 
 // newTraceFile parses and validates the container structure: trailer,
@@ -534,7 +559,9 @@ func (t *TraceFile) Verify() error {
 
 // --- Workload implementation ------------------------------------------------
 
-// core maps a chip core to a recorded one, like Capture.core.
+// core maps a chip core to a recorded one; chips wider than the
+// recording reuse streams modulo the recorded count (only reachable when
+// the scalability clamp is lifted).
 func (t *TraceFile) core(coreID int) *traceCore { return &t.cores[coreID%len(t.cores)] }
 
 // Name implements Workload; a trace replays under its source's name.

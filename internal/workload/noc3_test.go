@@ -2,12 +2,15 @@ package workload
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
+	"testing/quick"
 
 	"nocout/internal/ckpt"
 	"nocout/internal/cpu"
@@ -107,23 +110,25 @@ func TestNOC3MaxCoresClamp(t *testing.T) {
 }
 
 // TestNOC3FingerprintMatchesNOC2 is the cache-survival guarantee: the
-// same recording fingerprints identically whether it lives in a NOC2
-// capture, a streamed NOC3 recording, or a converted NOC3 file — so
-// Point.Key and checkpoint prefixes are format-agnostic.
+// same recording fingerprints identically whether it lives in a legacy
+// NOC2 capture, a streamed NOC3 recording, or a converted NOC3 file — so
+// Point.Key and checkpoint prefixes survive a format conversion. The
+// fingerprint is the SHA-256 of the canonical NOC2 encoding: for a NOC2
+// file, of the file itself.
 func TestNOC3FingerprintMatchesNOC2(t *testing.T) {
-	src := ConsolidatedMix()
-	const cores, perCore, seed = 3, 700, 9
-
-	cap, err := Record(src, cores, perCore, seed)
+	legacy, err := LoadTrace(noc2Fixture)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fpNOC2, err := Fingerprint(cap)
+	fpNOC2, err := Fingerprint(legacy)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	recorded := parseNOC3(t, writeNOC3Bytes(t, src, cores, perCore, seed, 64))
+	sum := sha256.Sum256(readFixture(t))
+	if want := "capture:" + hex.EncodeToString(sum[:]); string(fpNOC2) != want {
+		t.Fatalf("NOC2 fingerprint %s, want the file's %s", fpNOC2, want)
+	}
+	recorded := parseNOC3(t, writeNOC3Bytes(t, ConsolidatedMix(), fixtureCores, fixturePerCore, fixtureSeed, 64))
 	fpNOC3, err := Fingerprint(recorded)
 	if err != nil {
 		t.Fatal(err)
@@ -131,25 +136,21 @@ func TestNOC3FingerprintMatchesNOC2(t *testing.T) {
 	if !bytes.Equal(fpNOC2, fpNOC3) {
 		t.Fatalf("fingerprint changed across formats:\n NOC2 %s\n NOC3 %s", fpNOC2, fpNOC3)
 	}
-
-	var conv bytes.Buffer
-	if err := ConvertNOC3(&conv, cap, 64); err != nil {
+	conv := filepath.Join(t.TempDir(), "conv.noctrace")
+	if err := ConvertFile(noc2Fixture, conv); err != nil {
 		t.Fatal(err)
 	}
-	converted := parseNOC3(t, conv.Bytes())
+	converted, err := OpenTraceFile(conv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer converted.Close()
 	fpConv, err := Fingerprint(converted)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(fpNOC2, fpConv) {
 		t.Fatalf("conversion changed the fingerprint:\n NOC2 %s\n conv %s", fpNOC2, fpConv)
-	}
-
-	// Recording a workload directly and converting its NOC2 capture are
-	// the same deterministic encoder over the same streams: the files
-	// must be byte-identical.
-	if !bytes.Equal(writeNOC3Bytes(t, src, cores, perCore, seed, 64), conv.Bytes()) {
-		t.Fatal("direct NOC3 recording and NOC2->NOC3 conversion disagree byte-for-byte")
 	}
 }
 
@@ -232,16 +233,15 @@ func TestNOC3PhasePredictorWins(t *testing.T) {
 		t.Fatalf("predictor split %d phase / %d prev, want 28 / 4", st.PredPhase, st.PredPrev)
 	}
 
-	cap, err := Record(periodic{period: blockLen}, 1, blockLen*32, 1)
-	if err != nil {
-		t.Fatal(err)
+	// The same recording in the canonical NOC2 encoding, for scale.
+	cc := coreCapture{meta: tf.cores[0].meta, instrs: make([]cpu.Instr, blockLen*32)}
+	replay := tf.StreamFor(0, 1)
+	for i := range cc.instrs {
+		cc.instrs[i] = replay.Next()
 	}
-	var noc2 bytes.Buffer
-	if err := cap.Write(&noc2); err != nil {
-		t.Fatal(err)
-	}
-	if len(data) >= noc2.Len() {
-		t.Fatalf("NOC3 (%d bytes) did not beat NOC2 (%d bytes) on a periodic stream", len(data), noc2.Len())
+	noc2 := encodeCapture(&capture{hdr: tf.hdr, cores: []coreCapture{cc}})
+	if len(data) >= len(noc2) {
+		t.Fatalf("NOC3 (%d bytes) did not beat NOC2 (%d bytes) on a periodic stream", len(data), len(noc2))
 	}
 }
 
@@ -447,78 +447,102 @@ func TestNOC3CursorSaveRestore(t *testing.T) {
 }
 
 // TestLoadTraceDispatch: the "trace:" scheme must open both container
-// formats transparently and reject junk with a useful error.
+// formats as the same TraceFile a direct recording yields.
 func TestLoadTraceDispatch(t *testing.T) {
 	dir := t.TempDir()
-
-	cap, err := Record(Synth(SATSolver), 2, 100, 3)
+	noc3 := filepath.Join(dir, "mix3.noctrace")
+	if err := RecordFile(noc3, ConsolidatedMix(), fixtureCores, fixturePerCore, fixtureSeed); err != nil {
+		t.Fatal(err)
+	}
+	w, err := Parse("trace:" + noc3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	noc2 := filepath.Join(dir, "sat2.noctrace")
-	if err := cap.Save(noc2); err != nil {
-		t.Fatal(err)
-	}
-	w, err := LoadTrace(noc2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := w.(*Capture); !ok {
-		t.Fatalf("NOC2 file loaded as %T", w)
+	direct := w.(*TraceFile)
+	defer direct.Close()
+	if direct.closer == nil {
+		t.Fatal("a NOC3 file must open lazily, not load into memory")
 	}
 
-	noc3 := filepath.Join(dir, "sat3.noctrace")
-	if err := RecordFile(noc3, Synth(SATSolver), 2, 100, 3); err != nil {
-		t.Fatal(err)
-	}
-	w, err = LoadTrace(noc3)
+	w, err = Parse("trace:" + noc2Fixture)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tf, ok := w.(*TraceFile)
-	if !ok {
-		t.Fatalf("NOC3 file loaded as %T", w)
+	legacy := w.(*TraceFile)
+	if legacy.Name() != direct.Name() || legacy.MaxCores() != direct.MaxCores() || legacy.Fingerprint() != direct.Fingerprint() {
+		t.Fatalf("NOC2 file loaded as %q/%d cores, want %q/%d", legacy.Name(), legacy.MaxCores(), direct.Name(), direct.MaxCores())
 	}
-	defer tf.Close()
-
-	// Both resolve through Parse and replay the same streams.
-	pw, err := Parse("trace:" + noc3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := pw.StreamFor(1, 1), cap.StreamFor(1, 1)
-	for i := 0; i < 100; i++ {
-		if a.Next() != b.Next() {
-			t.Fatal("trace: scheme replay diverged from the NOC2 capture")
+	for core := 0; core < fixtureCores; core++ {
+		a, b := legacy.StreamFor(core, 1), direct.StreamFor(core, 1)
+		for i := 0; i < 2*fixturePerCore; i++ {
+			if a.Next() != b.Next() {
+				t.Fatalf("core %d record %d: NOC2 replay diverged from the NOC3 recording", core, i)
+			}
 		}
 	}
+}
 
-	junk := filepath.Join(dir, "junk.noctrace")
-	if err := os.WriteFile(junk, []byte("neither format"), 0o644); err != nil {
-		t.Fatal(err)
+// TestTraceRejectsGarbage: LoadTrace fails cleanly on files that are
+// missing, empty, of neither format, or truncated in either format.
+func TestTraceRejectsGarbage(t *testing.T) {
+	dir := t.TempDir()
+	noc2 := readFixture(t)
+	noc3 := writeNOC3Bytes(t, Synth(WebSearch), 2, 100, 1, 16)
+	for name, data := range map[string][]byte{
+		"empty":          nil,
+		"junk":           []byte("neither format"),
+		"magic only":     []byte("NOC3"),
+		"truncated NOC2": noc2[:len(noc2)/2],
+		"truncated NOC3": noc3[:len(noc3)-1],
+		"half NOC3":      noc3[:len(noc3)/2],
+	} {
+		path := filepath.Join(dir, "garbage.noctrace")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadTrace(path); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
-	if _, err := LoadTrace(junk); err == nil {
-		t.Fatal("junk file must error")
+	if _, err := LoadTrace(filepath.Join(dir, "missing.noctrace")); err == nil {
+		t.Error("missing file: accepted")
+	}
+}
+
+// TestTracePropertyArbitraryStreams: any synthetic stream, at any length
+// and block length, round-trips exactly — including partial last blocks
+// and streams shorter than one block.
+func TestTracePropertyArbitraryStreams(t *testing.T) {
+	err := quick.Check(func(seed uint64, nRaw uint16, blockRaw uint8) bool {
+		n := int(nRaw%500) + 1
+		blockLen := int(blockRaw%64) + 1
+		src := Synth(MapReduceW)
+		tf, err := ParseTraceBytes(writeNOC3Bytes(t, src, 2, n, seed, blockLen))
+		if err != nil || tf.Verify() != nil {
+			return false
+		}
+		for core := 0; core < 2; core++ {
+			st, ref := tf.StreamFor(core, 1), src.StreamFor(core, seed)
+			for i := 0; i < n; i++ {
+				if st.Next() != ref.Next() {
+					return false
+				}
+			}
+		}
+		return true
+	}, &quick.Config{MaxCount: 25})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
 // TestInspectTrace covers the -trace-info plumbing for both formats.
 func TestInspectTrace(t *testing.T) {
-	dir := t.TempDir()
-	cap, err := Record(Synth(WebSearch), 2, 300, 3)
-	if err != nil {
+	noc3 := filepath.Join(t.TempDir(), "conv.noctrace")
+	if err := ConvertFile(noc2Fixture, noc3); err != nil {
 		t.Fatal(err)
 	}
-	noc2 := filepath.Join(dir, "ws2.noctrace")
-	if err := cap.Save(noc2); err != nil {
-		t.Fatal(err)
-	}
-	noc3 := filepath.Join(dir, "ws3.noctrace")
-	if err := ConvertFile(noc2, noc3); err != nil {
-		t.Fatal(err)
-	}
-
-	i2, err := InspectTrace(noc2)
+	i2, err := InspectTrace(noc2Fixture)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,11 +553,18 @@ func TestInspectTrace(t *testing.T) {
 	if i2.Format != "NOC2" || i3.Format != "NOC3" {
 		t.Fatalf("formats %q / %q", i2.Format, i3.Format)
 	}
-	if i2.Cores != 2 || i3.Cores != 2 || i2.Instrs != 600 || i3.Instrs != 600 {
+	want := fixtureCores * fixturePerCore
+	if i2.Cores != fixtureCores || i3.Cores != fixtureCores || i2.Instrs != int64(want) || i3.Instrs != int64(want) {
 		t.Fatalf("geometry: %+v vs %+v", i2, i3)
+	}
+	if st, err := os.Stat(noc2Fixture); err != nil || i2.FileBytes != st.Size() {
+		t.Fatalf("NOC2 file bytes %d, stat %v", i2.FileBytes, err)
 	}
 	if i2.Fingerprint != i3.Fingerprint || i2.Fingerprint == "" {
 		t.Fatalf("fingerprints %q / %q must match across formats", i2.Fingerprint, i3.Fingerprint)
+	}
+	if i2.Blocks != 0 || i2.BlockLen != 0 || i2.HeaderSectionB != 0 {
+		t.Fatalf("NOC2 report carries block fields: %+v", i2)
 	}
 	if i3.Blocks == 0 || i3.BlockLen != DefaultBlockLen || i3.IndexSectionB == 0 || i3.HeaderSectionB == 0 {
 		t.Fatalf("NOC3 section accounting empty: %+v", i3)
@@ -546,14 +577,10 @@ func TestInspectTrace(t *testing.T) {
 }
 
 // TestNOC3RecordRejectsIdle: open-system streams answer KindIdle, which
-// has no record encoding; the streaming recorder must refuse it like
-// Record does.
+// has no record encoding; the recorder must refuse it.
 func TestNOC3RecordRejectsIdle(t *testing.T) {
 	if err := WriteNOC3(discardWriter{}, idleWorkload{}, 1, 10, 1, 0); err == nil {
 		t.Fatal("recording a KindIdle stream must error")
-	}
-	if _, err := Record(idleWorkload{}, 1, 10, 1); err == nil {
-		t.Fatal("Record of a KindIdle stream must error")
 	}
 }
 

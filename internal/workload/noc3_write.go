@@ -16,7 +16,7 @@ import (
 	"nocout/internal/cpu"
 )
 
-// The NOC3 writer: records a workload (or converts a decoded NOC2
+// The NOC3 writer: records a workload (or converts a decoded legacy NOC2
 // capture) into the sectioned container, streaming block by block so the
 // writer's footprint is O(block) no matter how long the trace is, and
 // hashing the canonical NOC2 encoding as it goes so the recording's
@@ -210,15 +210,18 @@ func appendRegion(p []byte, r Region) []byte {
 func f64bits(v float64) uint64 { return math.Float64bits(v) }
 
 // recordMeta validates w and assembles the header and per-core metadata
-// exactly as Record does, so a streamed NOC3 recording and an in-memory
-// NOC2 capture of the same (workload, cores, perCore, seed) agree on
-// every header byte — and therefore on the fingerprint.
+// of a recording. It is the recorder's single validator: it refuses
+// anything beyond the capture caps, so a recording's canonical NOC2
+// encoding (its fingerprint) is always well-formed, and it clamps the
+// stored scale limit to the recorded core count — replay can never drive
+// more cores than were captured, and an Unlimited-wrapped source would
+// otherwise store a limit the decoders reject.
 func recordMeta(w Workload, cores, perCore int, seed uint64) (captureHeader, []coreMeta, error) {
 	if cores < 1 || cores > maxCaptureCores {
-		return captureHeader{}, nil, fmt.Errorf("workload: Record needs 1..%d cores, got %d", maxCaptureCores, cores)
+		return captureHeader{}, nil, fmt.Errorf("workload: recording needs 1..%d cores, got %d", maxCaptureCores, cores)
 	}
 	if perCore < 1 || perCore > maxTrace {
-		return captureHeader{}, nil, fmt.Errorf("workload: Record needs 1..%d instructions per core, got %d", maxTrace, perCore)
+		return captureHeader{}, nil, fmt.Errorf("workload: recording needs 1..%d instructions per core, got %d", maxTrace, perCore)
 	}
 	if len(w.Name()) > maxCaptureName {
 		return captureHeader{}, nil, fmt.Errorf("workload: name %.32q... exceeds the %d-byte capture cap", w.Name(), maxCaptureName)
@@ -301,16 +304,11 @@ func RecordFile(path string, w Workload, cores, perCore int, seed uint64) (err e
 	return bw.Flush()
 }
 
-// ConvertNOC3 re-encodes a decoded NOC2 capture as a NOC3 container. The
-// converted trace replays bit-identically (same streams, same header
-// identity) and fingerprints identically (the hash is computed over the
-// capture's canonical NOC2 encoding either way).
-func ConvertNOC3(dst io.Writer, c *Capture, blockLen int) error {
-	// Reuse Write's refusal set: anything Write would reject is equally
-	// unreadable as NOC3 input.
-	if err := c.Write(io.Discard); err != nil {
-		return err
-	}
+// convertNOC3 re-encodes a decoded NOC2 capture as a NOC3 container. The
+// result is byte-identical to a direct recording of the same streams, so
+// it replays bit-identically and fingerprints identically. c comes from
+// readCapture, which enforces every cap the recorder does.
+func convertNOC3(dst io.Writer, c *capture, blockLen int) error {
 	if blockLen <= 0 {
 		blockLen = DefaultBlockLen
 	}
@@ -318,17 +316,16 @@ func ConvertNOC3(dst io.Writer, c *Capture, blockLen int) error {
 		return fmt.Errorf("workload: block length %d exceeds the %d cap", blockLen, maxBlockLen)
 	}
 	nw := &noc3Writer{w: dst, blockLen: blockLen}
-	metas := make([]coreMeta, len(c.Cores))
-	for i := range c.Cores {
-		cc := &c.Cores[i]
-		metas[i] = coreMeta{Member: cc.Member, Params: cc.Params, Local: cc.Local, Total: len(cc.Instrs)}
+	metas := make([]coreMeta, len(c.cores))
+	for i := range c.cores {
+		metas[i] = c.cores[i].meta
 	}
-	nw.begin(c.header(), metas)
+	nw.begin(c.hdr, metas)
 	buf := make([]cpu.Instr, blockLen)
 	curIA := make([]uint64, blockLen)
 	prevIA := make([]uint64, blockLen)
 	for i, m := range metas {
-		instrs, k := c.Cores[i].Instrs, 0
+		instrs, k := c.cores[i].instrs, 0
 		next := func() (cpu.Instr, error) { in := instrs[k]; k++; return in, nil }
 		if err := nw.coreBlocks(i, m, next, buf, curIA, prevIA); err != nil {
 			return err
@@ -339,7 +336,7 @@ func ConvertNOC3(dst io.Writer, c *Capture, blockLen int) error {
 
 // ConvertFile upgrades a NOC2 capture file to a NOC3 trace file.
 func ConvertFile(in, out string) (err error) {
-	c, err := LoadCapture(in)
+	c, err := loadCapture(in)
 	if err != nil {
 		return err
 	}
@@ -353,7 +350,7 @@ func ConvertFile(in, out string) (err error) {
 		}
 	}()
 	bw := bufio.NewWriterSize(f, 1<<16)
-	if err := ConvertNOC3(bw, c, 0); err != nil {
+	if err := convertNOC3(bw, c, 0); err != nil {
 		return err
 	}
 	return bw.Flush()

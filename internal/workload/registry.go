@@ -156,13 +156,17 @@ func MustRegisterScheme(name string, fn func(spec string) (Workload, error)) {
 
 // Parse resolves a workload from any registered spelling — names and
 // aliases, case-insensitively ("data-serving", "websearch", "WEB Search")
-// — loads a recorded capture via the "trace:<path>" scheme, or hands
+// — loads a recorded trace via the "trace:<path>" scheme, or hands
 // "<scheme>:<spec>" names to their registered scheme (e.g.
 // "opensys:arrival=poisson,...").
 func Parse(s string) (Workload, error) {
 	trimmed := strings.TrimSpace(s)
 	if strings.HasPrefix(strings.ToLower(trimmed), TraceScheme) {
-		return LoadTrace(trimmed[len(TraceScheme):])
+		t, err := LoadTrace(trimmed[len(TraceScheme):])
+		if err != nil {
+			return nil, err
+		}
+		return t, nil
 	}
 	if i := strings.IndexByte(trimmed, ':'); i > 0 {
 		schemeMu.RLock()

@@ -76,12 +76,8 @@ func TestParseNamesAndAliases(t *testing.T) {
 }
 
 func TestParseTraceScheme(t *testing.T) {
-	cap, err := Record(Synth(MapReduceC), 2, 100, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	path := filepath.Join(t.TempDir(), "mrc.noctrace")
-	if err := cap.Save(path); err != nil {
+	if err := RecordFile(path, Synth(MapReduceC), 2, 100, 1); err != nil {
 		t.Fatal(err)
 	}
 	w, err := Parse(TraceScheme + path)
@@ -92,7 +88,7 @@ func TestParseTraceScheme(t *testing.T) {
 		t.Fatalf("replay name = %q, want the recorded source name", w.Name())
 	}
 	if _, err := Parse("trace:/no/such/file.noctrace"); err == nil {
-		t.Fatal("missing capture file must error")
+		t.Fatal("missing trace file must error")
 	}
 }
 

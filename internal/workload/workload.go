@@ -6,8 +6,9 @@
 //
 //   - Synthetic (this file): the six CloudSuite scale-out workloads the
 //     paper evaluates (§5.3);
-//   - Capture (capture.go): recorded traces replayed verbatim, loaded
-//     through the "trace:<path>" scheme;
+//   - TraceFile (noc3*.go): recorded traces replayed verbatim, loaded
+//     through the "trace:<path>" scheme (legacy NOC2 files, noc2.go,
+//     are converted to the NOC3 container on load);
 //   - Mix (mix.go): multiprogrammed per-core member assignment;
 //   - Phased (phased.go): deterministic time-varying phase schedules.
 //

@@ -44,12 +44,12 @@
 // per-core pipeline parameters, per-core instruction streams, prewarm
 // layout) resolved through its own registry — ParseWorkload accepts any
 // registered name or alias, case-insensitively, plus the
-// "trace:<path>" scheme for recorded captures. The paper's six
+// "trace:<path>" scheme for recorded traces. The paper's six
 // synthetics are builtin; multiprogrammed mixes (NewMix, with a
 // per-member IPC breakdown in Result), deterministic phase schedules
-// (NewPhased), and whole-chip trace capture/replay (RecordWorkload,
-// nocout -record-trace) ride the same RegisterWorkload path as user
-// implementations. See EXPERIMENTS.md's "writing a custom Workload"
+// (NewPhased), and whole-chip trace recording/replay (RecordTraceFile,
+// LoadTrace, nocout -record-trace) ride the same RegisterWorkload path
+// as user implementations. See EXPERIMENTS.md's "writing a custom Workload"
 // walkthrough.
 //
 // Open-system traffic is the closed-loop model's complement: the
@@ -271,7 +271,7 @@ func RunUnlimited(cfg Config, workloadName string, q Quality) (Result, error) {
 }
 
 // RunWorkload is Run for a Workload value that need not be registered —
-// a constructed Mix or Phased schedule, a loaded Capture, or any user
+// a constructed Mix or Phased schedule, a loaded TraceFile, or any user
 // implementation.
 func RunWorkload(cfg Config, w Workload, q Quality) Result {
 	res, _ := runSeeds(context.Background(), cfg, w, q, nil)

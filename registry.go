@@ -182,8 +182,8 @@ func ParseQuality(s string) (Quality, error) {
 // names itself (with CLI aliases), bounds its software scalability,
 // derives each core's pipeline parameters, produces each core's
 // instruction stream, and describes its prewarm address layout.
-// Implement it (or build one with SynthWorkload/NewMix/NewPhased/
-// RecordWorkload) and RegisterWorkload it; registered workloads work
+// Implement it (or build one with SynthWorkload/NewMix/NewPhased, or
+// load a recording with LoadTrace) and RegisterWorkload it; registered workloads work
 // everywhere a builtin does — Run, WithWorkloads sweeps, CLI flags, and
 // JSON reports.
 type Workload = workload.Workload
@@ -205,10 +205,6 @@ type Phased = workload.Phased
 // number of dynamic instructions per core.
 type Phase = workload.Phase
 
-// Capture is a whole-chip workload recording; it replays as a Workload
-// and loads through the "trace:<path>" name scheme.
-type Capture = workload.Capture
-
 // RegisterWorkload adds a workload to the registry, after which every
 // name-based entry point (ParseWorkload, sweeps, CLI flags) resolves it.
 // Names and aliases must be unique case-insensitively.
@@ -221,7 +217,7 @@ func RegisteredWorkloads() []Workload { return workload.All() }
 
 // ParseWorkload resolves a workload from any registered spelling —
 // names and aliases, case-insensitively (data-serving | websearch |
-// mix | phased | ...) — or loads a recorded capture via "trace:<path>".
+// mix | phased | ...) — or loads a recorded trace via "trace:<path>".
 func ParseWorkload(s string) (Workload, error) { return workload.Parse(s) }
 
 // SynthWorkload wraps a synthetic calibration as a Workload with
@@ -237,7 +233,7 @@ func BuiltinWorkloads() []WorkloadParams { return workload.Builtin() }
 
 // WorkloadParamsOf returns the synthetic calibration behind a
 // registered workload name or alias, for composing mixes and phased
-// schedules; non-synthetic workloads (mixes, captures) are an error.
+// schedules; non-synthetic workloads (mixes, traces) are an error.
 func WorkloadParamsOf(name string) (WorkloadParams, error) {
 	w, err := workload.Parse(name)
 	if err != nil {
@@ -266,7 +262,7 @@ func UnlimitedWorkload(w Workload) Workload { return workload.Unlimited(w) }
 // implements to make itself cacheable: the returned bytes are folded
 // into Point.Key and must change whenever the workload's observable
 // behaviour (streams, core parameters, layout, scalability) changes.
-// The builtin families — synthetics, mixes, phased schedules, captures —
+// The builtin families — synthetics, mixes, phased schedules, traces —
 // fingerprint structurally without it.
 type WorkloadFingerprinter = workload.Fingerprinter
 
@@ -275,20 +271,6 @@ type WorkloadFingerprinter = workload.Fingerprinter
 // cache is addressed by. Unknown implementations without
 // WorkloadFingerprinter are an error, not a silent name-only alias.
 func FingerprintWorkload(w Workload) ([]byte, error) { return workload.Fingerprint(w) }
-
-// RecordWorkload captures cores×perCore instructions from w at the
-// given seed; save the Capture and replay it anywhere a workload name
-// is accepted via "trace:<path>". For an exact reproduction of a run,
-// record at least (warmup+window)×3 instructions per core (the fetch
-// width bounds per-cycle consumption) at the run's seed.
-func RecordWorkload(w Workload, cores, perCore int, seed uint64) (*Capture, error) {
-	return workload.Record(w, cores, perCore, seed)
-}
-
-// LoadCapture reads a recorded workload capture from a NOC2 file; the
-// whole recording is materialized in memory. Prefer LoadTrace, which
-// also opens NOC3 containers with O(block) replay memory.
-func LoadCapture(path string) (*Capture, error) { return workload.LoadCapture(path) }
 
 // TraceFile is an opened NOC3 streaming trace container: a Workload
 // whose replay decodes fixed-count blocks on demand, so memory stays
@@ -301,15 +283,25 @@ type TraceFile = workload.TraceFile
 // as the `nocout -trace-info` subcommand reports.
 type TraceInfo = workload.TraceInfo
 
-// LoadTrace opens a trace file in either container format, as the
-// "trace:<path>" scheme does: NOC3 files stream blocks lazily, NOC2
-// files load whole through the compatibility reader.
-func LoadTrace(path string) (Workload, error) { return workload.LoadTrace(path) }
+// LoadTrace opens a trace file, as the "trace:<path>" scheme does: NOC3
+// files stream blocks lazily; a legacy NOC2 file is decoded whole and
+// converted in memory to the NOC3 container a direct recording of the
+// same streams produces, so it replays and caches exactly like one.
+func LoadTrace(path string) (Workload, error) {
+	t, err := workload.LoadTrace(path)
+	if err != nil {
+		return nil, err
+	}
+	return t, nil
+}
 
 // RecordTraceFile records cores×perCore instructions from w at the given
 // seed straight into a NOC3 container at path — bounded-memory end to
 // end: blocks are encoded and flushed as the streams produce them, never
-// the whole capture at once.
+// the whole recording at once. Replay it anywhere a workload name is
+// accepted via "trace:<path>". For an exact reproduction of a run,
+// record at least (warmup+window)×3 instructions per core (the fetch
+// width bounds per-cycle consumption) at the run's seed.
 func RecordTraceFile(path string, w Workload, cores, perCore int, seed uint64) error {
 	return workload.RecordFile(path, w, cores, perCore, seed)
 }
