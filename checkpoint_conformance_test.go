@@ -107,7 +107,9 @@ func TestCheckpointHierarchyConformance(t *testing.T) {
 // trace snapshots and restores mid-trace bit-identically — the (block,
 // offset) stream cursors serialize, the restore seeks each core's block
 // from its keyframe, and the window after the snapshot is
-// cycle-for-cycle identical to the donor.
+// cycle-for-cycle identical to the donor. The committed legacy NOC2
+// fixture, which loads through its in-memory NOC3 conversion and wraps
+// many times inside the run, is held to the same contract.
 func TestCheckpointNOC3TraceConformance(t *testing.T) {
 	cfg := DefaultConfig(Mesh)
 	cfg.Cores = 16
@@ -120,9 +122,16 @@ func TestCheckpointNOC3TraceConformance(t *testing.T) {
 	if err := workload.RecordFile(noc3, src, cfg.Cores, perCore, cfg.Seed); err != nil {
 		t.Fatal(err)
 	}
-	w := mustLoadTrace(t, noc3)
-	donor, snap, _ := warmSnapshot(t, cfg, w, confQ.Warmup)
-	verifyRestore(t, donor, snap, cfg, w, confQ.Window)
+	for _, tc := range []struct{ name, path string }{
+		{"noc2", noc2Fixture},
+		{"noc3", noc3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := mustLoadTrace(t, tc.path)
+			donor, snap, _ := warmSnapshot(t, cfg, w, confQ.Warmup)
+			verifyRestore(t, donor, snap, cfg, w, confQ.Window)
+		})
+	}
 }
 
 func mustLoadTrace(t *testing.T, path string) workload.Workload {

@@ -192,7 +192,7 @@ func TestCheckpointStoreSelfHeals(t *testing.T) {
 // the same sweep on the converted file restores it (a hit) and reports
 // exactly what an uncheckpointed run does.
 func TestCheckpointSurvivesTraceConversion(t *testing.T) {
-	const noc2 = "internal/workload/testdata/consolidated-3x700-seed9.noc2"
+	noc2 := noc2Fixture
 	noc3 := filepath.Join(t.TempDir(), "conv.noctrace")
 	if err := ConvertTrace(noc2, noc3); err != nil {
 		t.Fatal(err)

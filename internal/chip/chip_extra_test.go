@@ -138,3 +138,31 @@ func TestDesignString(t *testing.T) {
 		t.Fatal("unknown design should still format")
 	}
 }
+
+// TestChannelOfCoversAllChannels: the memory layout's channel mapping —
+// the function the chip routes every LLC miss through — stays in range,
+// uses every channel, and spreads the pathological per-core local
+// strides.
+func TestChannelOfCoversAllChannels(t *testing.T) {
+	cfg := DefaultConfig(Mesh)
+	channelOf := New(cfg, workload.Synth(workload.MapReduceC)).Memory.ChannelOf
+	seen := map[int]bool{}
+	for line := uint64(0); line < 4096; line++ {
+		ch := channelOf(line)
+		if ch < 0 || ch >= cfg.MemChannels {
+			t.Fatalf("ChannelOf out of range: %d", ch)
+		}
+		seen[ch] = true
+	}
+	if len(seen) != cfg.MemChannels {
+		t.Fatalf("only %d of %d channels used", len(seen), cfg.MemChannels)
+	}
+	seen = map[int]bool{}
+	for core := uint64(0); core < 64; core++ {
+		base := (uint64(0x0100_0000_0000) + core*0x0001_0000_0000) / 64
+		seen[channelOf(base)] = true
+	}
+	if len(seen) < 3 {
+		t.Fatalf("per-core bases alias onto %d channels", len(seen))
+	}
+}

@@ -204,13 +204,13 @@ func TestMixPerMemberBreakdown(t *testing.T) {
 	}
 }
 
-// TestNOC3TraceReplayReproducesBuiltin is the trace acceptance
-// contract: a workload recorded to a NOC3 file and resolved through the
+// TestTraceReplayReproducesBuiltin is the trace acceptance contract: a
+// workload recorded to a NOC3 file and resolved through the
 // "trace:<path>" scheme reproduces the builtin's Quick-quality Result
 // bit for bit — through Run and through a NewExperiment sweep (the CLI
 // resolves through the same ParseWorkload path). O(block) replay changes
 // memory behaviour, never measurements.
-func TestNOC3TraceReplayReproducesBuiltin(t *testing.T) {
+func TestTraceReplayReproducesBuiltin(t *testing.T) {
 	cfg := DefaultConfig(Mesh)
 	cfg.Cores = 16
 	// A quick-quality run steps Warmup+Window cycles and fetch consumes
@@ -250,6 +250,73 @@ func TestNOC3TraceReplayReproducesBuiltin(t *testing.T) {
 	swept := rep.MustGet("Mesh", "MapReduce-C", 0)
 	if !reflect.DeepEqual(want, swept) {
 		t.Fatalf("sweep replay diverged from the builtin:\nbuiltin %+v\nreplay  %+v", want, swept)
+	}
+}
+
+// noc2Fixture is the committed legacy NOC2 capture (see its README):
+// the Consolidated mix, 3 cores x 700 instructions, seed 9.
+const noc2Fixture = "internal/workload/testdata/consolidated-3x700-seed9.noc2"
+
+// capCores caps a workload's software scalability limit, so a builtin
+// runs on exactly as many cores as a recording of it holds.
+type capCores struct {
+	Workload
+	n int
+}
+
+func (c capCores) MaxCores() int    { return c.n }
+func (c capCores) Unwrap() Workload { return c.Workload }
+
+// TestNOC3TraceReplayReproducesBuiltin: every way a recording reaches
+// the NOC3 container — the legacy NOC2 fixture (converted in memory on
+// load), its -trace-convert output, and a direct NOC3 recording of the
+// same source and parameters — replays the builtin's Result bit for bit
+// and fingerprints identically, so a Point's content key, and with it
+// every campaign/checkpoint cache entry, survives a NOC2 -> NOC3
+// migration.
+func TestNOC3TraceReplayReproducesBuiltin(t *testing.T) {
+	const cores, perCore, seed = 3, 700, 9
+	cfg := DefaultConfig(Mesh)
+	cfg.Cores = 4 // the smallest mesh; the recording enables 3 of its cores
+	cfg.Seed = seed
+	// Fetch consumes at most 3 instructions per cycle, so a run of
+	// 700/3 cycles never wraps the recording.
+	q := Quality{Warmup: 100, Window: perCore/3 - 100, Seeds: 1}
+	src, err := ParseWorkload("mix")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	conv := filepath.Join(dir, "conv.noctrace")
+	if err := ConvertTrace(noc2Fixture, conv); err != nil {
+		t.Fatal(err)
+	}
+	noc3 := filepath.Join(dir, "mix.noctrace")
+	if err := RecordTraceFile(noc3, src, cores, perCore, seed); err != nil {
+		t.Fatal(err)
+	}
+
+	want := RunWorkload(cfg, capCores{src, cores}, q)
+	if want.ActiveCores != cores {
+		t.Fatalf("builtin ran on %d cores, want %d", want.ActiveCores, cores)
+	}
+	var fps []string
+	for _, path := range []string{noc2Fixture, conv, noc3} {
+		w, err := LoadTrace(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := RunWorkload(cfg, w, q); !reflect.DeepEqual(want, got) {
+			t.Fatalf("replay of %s diverged from the builtin:\nbuiltin %+v\nreplay  %+v", path, want, got)
+		}
+		fp, err := FingerprintWorkload(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fps = append(fps, string(fp))
+	}
+	if fps[0] != fps[1] || fps[1] != fps[2] {
+		t.Fatalf("fingerprints diverge across formats:\n%s\n%s\n%s", fps[0], fps[1], fps[2])
 	}
 }
 
