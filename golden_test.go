@@ -1,6 +1,7 @@
 package nocout
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"nocout/internal/chip"
+	"nocout/internal/sim"
 	"nocout/internal/workload"
 )
 
@@ -182,5 +184,50 @@ func TestGoldenWorkloadFamilies(t *testing.T) {
 				goldenCheck(t, name, cfg, w, want, ok)
 			})
 		}
+	}
+}
+
+// goldenSnapshots pins the checkpoint format: the SHA-256 of a mid-flight
+// Chip.Snapshot of a 16-core MapReduce-C chip. Each warm-up length stops
+// the chip at a cycle where flits of all three classes are on router
+// links and responses sit in VC buffers, so the buffered/in-flight split
+// of the network section is covered. A change to how the fabric holds
+// flits must keep these bytes, or stored warm prefixes stop loading.
+var goldenSnapshots = map[Design]struct {
+	warmup sim.Cycle
+	sha256 string
+}{
+	NOCOut: {2266, "ca8e3a3f6ad6f35b7bb5f82d8d6f7c9f4c099447e942be1bfd4d555f2c012191"},
+	Mesh:   {2297, "014aea24703155c858653b965b94b46d75cd31117d15b479fe1d70092603b3f4"},
+}
+
+func TestGoldenSnapshot(t *testing.T) {
+	w, err := workload.Parse("MapReduce-C")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for d, want := range goldenSnapshots {
+		t.Run(d.String(), func(t *testing.T) {
+			t.Parallel()
+			cfg := DefaultConfig(d)
+			cfg.Cores = 16
+			_, snap, _ := warmSnapshot(t, cfg, w, want.warmup)
+			sum := sha256.Sum256(snap)
+			if got := hex.EncodeToString(sum[:]); got != want.sha256 {
+				t.Errorf("snapshot SHA-256 = %s, want %s", got, want.sha256)
+			}
+			// A restored chip re-encodes to the same bytes.
+			r, err := chip.Restore(cfg, w, 1, bytes.NewReader(snap))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var again bytes.Buffer
+			if err := r.Snapshot(&again); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(again.Bytes(), snap) {
+				t.Error("restored chip's snapshot differs from the one it loaded")
+			}
+		})
 	}
 }

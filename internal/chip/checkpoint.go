@@ -52,10 +52,10 @@ func getMsgPayload(d *ckpt.Dec) any {
 }
 
 // netSaver matches network implementations whose in-flight state can be
-// checkpointed with a payload codec.
+// checkpointed with a payload codec at a snapshot cycle.
 type netSaver interface {
-	SaveState(e *ckpt.Enc, put noc.PayloadEnc)
-	LoadState(d *ckpt.Dec, get noc.PayloadDec)
+	SaveState(e *ckpt.Enc, now sim.Cycle, put noc.PayloadEnc)
+	LoadState(d *ckpt.Dec, now sim.Cycle, get noc.PayloadDec)
 }
 
 // netState resolves the chip's network to its checkpointable form: the
@@ -129,7 +129,7 @@ func (c *Chip) Snapshot(w io.Writer) error {
 	cw.Section(secMCs, e.Bytes())
 
 	e.Reset()
-	ns.SaveState(&e, putMsgPayload)
+	ns.SaveState(&e, c.Engine.Now(), putMsgPayload)
 	cw.Section(secNet, e.Bytes())
 
 	return cw.Err()
@@ -311,7 +311,7 @@ func (c *Chip) loadContainer(cont *ckpt.Container) error {
 	if d, err = open(secNet); err != nil {
 		return err
 	}
-	ns.LoadState(d, getMsgPayload)
+	ns.LoadState(d, cycle, getMsgPayload)
 	if err := finish(secNet, d); err != nil {
 		return err
 	}

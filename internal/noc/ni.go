@@ -15,7 +15,7 @@ type NI struct {
 
 	injectQ [NumClasses]sim.Queue[*Packet]
 	nextSeq [NumClasses]int
-	out     OutPort // local port into the router's local input
+	out     OutPort // local port: writes straight into the router's input buffers
 
 	eject   *sim.Pipe[Flit]
 	ejectUp *OutPort // router output feeding eject; ejected flits return its credits
@@ -44,14 +44,7 @@ func ConnectNI(ni *NI, r *Router, in, out int, injDelay, ejDelay sim.Cycle, ejec
 
 // ConnectNIInject wires only the NI's inject side into router input port in.
 func ConnectNIInject(ni *NI, r *Router, in int, injDelay sim.Cycle) {
-	inj := sim.NewPipe[Flit](fmt.Sprintf("ni%d->%s", ni.Node, r.Name), injDelay)
-	ip := r.ins[in]
-	ip.in = inj
-	ip.up = &ni.out
-	ni.out.link = inj
-	for c := range ni.out.credits {
-		ni.out.credits[c] = ip.cap
-	}
+	ni.out.connect(r.ins[in], injDelay, fmt.Sprintf("ni%d->%s", ni.Node, r.Name))
 }
 
 // ConnectNIEject wires only the NI's eject side to router output port out.
@@ -148,7 +141,7 @@ func (ni *NI) NextWake(now sim.Cycle) sim.Cycle {
 // inject sends at most one flit through the local port, rotating across
 // classes for fairness.
 func (ni *NI) inject(now sim.Cycle) {
-	if ni.out.link == nil {
+	if ni.out.dst == nil {
 		return
 	}
 	ni.out.settle(now)
@@ -159,7 +152,7 @@ func (ni *NI) inject(now sim.Cycle) {
 			continue
 		}
 		seq := ni.nextSeq[c]
-		ni.out.link.Push(now, Flit{Pkt: p, Seq: seq})
+		ni.out.send(now, Flit{Pkt: p, Seq: seq})
 		ni.out.credits[c]--
 		if ni.stats != nil {
 			ni.stats.InjectFlits++
@@ -234,7 +227,8 @@ func (rn *RouterNetwork) SetDeliver(n NodeID, fn func(now sim.Cycle, p *Packet))
 }
 
 // Tick advances all routers then all NIs by one cycle. Because every
-// connection is a latched pipe, the relative order is immaterial.
+// flit and credit becomes visible at a strictly later cycle, the relative
+// order is immaterial.
 func (rn *RouterNetwork) Tick(now sim.Cycle) {
 	for _, r := range rn.Routers {
 		r.Tick(now)
@@ -251,7 +245,7 @@ func (rn *RouterNetwork) Tick(now sim.Cycle) {
 // the same order whole-network ticking uses, so results are unchanged) and
 // becomes an independent sleeper — quiescent regions of the fabric drop
 // out of the simulation loop entirely. The network must be fully built
-// before registration: pipes wired afterwards would miss their wakers.
+// before registration: links wired afterwards would miss their wakers.
 func (rn *RouterNetwork) RegisterInto(e *sim.Engine) {
 	for _, r := range rn.Routers {
 		e.Register(r)

@@ -34,6 +34,12 @@ type Cand struct {
 // the downstream link's delay at Connect time; throughput is one flit per
 // cycle per port.
 //
+// Links carry no state of their own. A sender spends a credit only when
+// the downstream VC buffer has a free slot, so a flit that wins the
+// switch is written straight into that slot, stamped with the cycle it
+// arrives (now + pipeline + link delay). Until then the slot is the
+// wire: allocation passes over a front flit that has not arrived.
+//
 // The same type models all router flavours in the paper:
 //   - mesh routers: 5 in / 5 out, 2-cycle speculative pipeline
 //   - flattened-butterfly routers: 15 in / 15 out, 3-cycle pipeline
@@ -54,8 +60,9 @@ type Router struct {
 	flits    int64   // flits routed through this router (energy accounting)
 	headRoom HeadRoomFunc
 
-	// occ has bit port*vcStride+vc set while that VC buffer holds a flit;
-	// the buffers maintain it themselves (flitRing.occ).
+	// occ has bit port*vcStride+vc set while that VC buffer holds a flit,
+	// arrived or still on the link; the buffers maintain it themselves
+	// (flitRing.occ).
 	occ []uint64
 
 	// flitsFolded marks how much of flits has been drained into the
@@ -99,13 +106,15 @@ func (r *Router) NumIn() int { return len(r.ins) }
 // NumOut returns the number of output ports.
 func (r *Router) NumOut() int { return len(r.outs) }
 
-// InPort is a router input with one FIFO buffer per virtual channel.
+// InPort is a router input with one FIFO buffer per virtual channel. The
+// buffers also hold the flits on the input link (see Router).
 type InPort struct {
-	name string
-	cap  int // flits per VC
-	vcs  [NumClasses]flitRing
-	in   *sim.Pipe[Flit]
-	up   *OutPort // upstream sender whose credits this buffer returns
+	name  string
+	cap   int // flits per VC
+	vcs   [NumClasses]flitRing
+	up    *OutPort  // upstream sender whose credits this buffer returns; nil while unconnected
+	waker sim.Waker // the owning router's wake handle, re-armed by every send
+	r     *Router   // owning router, named by the overflow panic
 }
 
 // vcStride is the number of occupancy bits reserved per input port, a
@@ -114,50 +123,82 @@ const vcStride = 4
 
 var _ [vcStride - NumClasses]struct{} // NumClasses must fit in vcStride
 
-// flitRing is a fixed-capacity flit FIFO. The credit protocol bounds VC
-// occupancy at the port capacity, so the buffer is allocated once (at
-// wiring) and reused forever. The former slice queue — append at the
-// tail, reslice the head away on dequeue — abandoned its backing array
-// as it advanced and reallocated continually on the switch-traversal hot
-// path, the chip's densest per-cycle loop.
+// slot is one VC buffer entry: a flit and the cycle it arrives. Before
+// that cycle the flit is on the link.
+type slot struct {
+	f  Flit
+	at sim.Cycle
+}
+
+// flitRing is a fixed-capacity flit FIFO. The credit protocol bounds a
+// VC's buffered plus in-flight flits at the port capacity, so the buffer
+// is allocated once (at wiring) and reused forever. A link delivers one
+// flit per cycle in order, so arrival cycles increase along the ring and
+// the entries that have arrived are always a prefix.
 //
 // Each ring owns one bit of its router's occupancy mask (occ, bit) and
 // keeps it equal to "non-empty".
 type flitRing struct {
-	buf  []Flit
+	buf  []slot
 	head int
 	n    int
 	occ  *uint64
 	bit  uint64
+
+	// pkt is the packet whose flits are leaving the ring and out its
+	// output port. A VC carries a packet's flits contiguously, so body
+	// flits reuse the head's route; the tail clears pkt before the
+	// packet can be delivered and recycled.
+	pkt *Packet
+	out int
 }
 
-func (q *flitRing) len() int    { return q.n }
-func (q *flitRing) front() Flit { return q.buf[q.head] }
+// entry returns the i-th entry from the front.
+func (q *flitRing) entry(i int) *slot {
+	i += q.head
+	if i >= len(q.buf) {
+		i -= len(q.buf)
+	}
+	return &q.buf[i]
+}
 
-func (q *flitRing) push(f Flit) {
-	q.buf[(q.head+q.n)%len(q.buf)] = f
+func (q *flitRing) front() *slot { return &q.buf[q.head] }
+
+func (q *flitRing) push(f Flit, at sim.Cycle) {
+	*q.entry(q.n) = slot{f, at}
 	q.n++
 	*q.occ |= q.bit
 }
 
 func (q *flitRing) pop() {
-	q.buf[q.head] = Flit{} // drop the packet reference for GC
-	q.head = (q.head + 1) % len(q.buf)
+	q.buf[q.head] = slot{} // drop the packet reference for GC
+	if q.head++; q.head == len(q.buf) {
+		q.head = 0
+	}
 	if q.n--; q.n == 0 {
 		*q.occ &^= q.bit
 	}
 }
 
-// syncOcc sets the occupancy bit from n after a bulk load.
-func (q *flitRing) syncOcc() {
-	if q.n > 0 {
-		*q.occ |= q.bit
-	} else {
-		*q.occ &^= q.bit
+// arrived returns how many entries have arrived by cycle now; the rest
+// are still on the link.
+func (q *flitRing) arrived(now sim.Cycle) int {
+	i := 0
+	for i < q.n && q.entry(i).at <= now {
+		i++
 	}
+	return i
 }
 
-// OutPort is a router output: a link pipe plus downstream credit state.
+// reset empties the ring.
+func (q *flitRing) reset() {
+	clear(q.buf)
+	q.head, q.n, q.pkt = 0, 0, nil
+	*q.occ &^= q.bit
+}
+
+// OutPort is a router output: a link to a downstream input port (or, on
+// the eject side, a pipe to an NI) plus downstream credit state.
 //
 // Credits return over a one-cycle wire: the downstream buffer adds each
 // freed slot to pend, due at pendAt (the cycle after the return), and the
@@ -166,7 +207,9 @@ func (q *flitRing) syncOcc() {
 // a return first settles the older batch, so at most one batch pends.
 type OutPort struct {
 	name     string
-	link     *sim.Pipe[Flit]
+	dst      *InPort         // downstream router input; nil for the eject side
+	delay    sim.Cycle       // cycles from send to arrival at dst
+	link     *sim.Pipe[Flit] // eject side only: the pipe to the NI
 	credits  [NumClasses]int
 	pend     [NumClasses]int
 	pendAt   sim.Cycle // due cycle of pend; NeverWake when nothing pends
@@ -187,9 +230,10 @@ func (r *Router) AddIn(name string, capacity int) int {
 	if capacity < 1 {
 		panic("noc: input buffer capacity must be >= 1")
 	}
-	ip := &InPort{name: name, cap: capacity}
+	ip := &InPort{name: name, cap: capacity, r: r}
+	slab := make([]slot, NumClasses*capacity)
 	for c := range ip.vcs {
-		ip.vcs[c].buf = make([]Flit, capacity)
+		ip.vcs[c].buf = slab[c*capacity : (c+1)*capacity : (c+1)*capacity]
 	}
 	r.ins = append(r.ins, ip)
 	if w := (len(r.ins)*vcStride + 63) / 64; w > len(r.occ) {
@@ -209,6 +253,45 @@ func (r *Router) AddIn(name string, capacity int) int {
 func (r *Router) AddOut(name string) int {
 	r.outs = append(r.outs, &OutPort{name: name, pendAt: sim.NeverWake})
 	return len(r.outs) - 1
+}
+
+// connected reports whether the port has been wired to a receiver.
+func (op *OutPort) connected() bool { return op.dst != nil || op.link != nil }
+
+// connect wires the port to input ip with the given send-to-arrival
+// delay and fills the credits with ip's buffer capacity.
+func (op *OutPort) connect(ip *InPort, delay sim.Cycle, name string) {
+	if delay < 1 {
+		panic("noc: link delay must be >= 1 cycle: " + name) // a same-cycle write would break tick-order independence
+	}
+	op.dst, op.delay = ip, delay
+	for c := range op.credits {
+		op.credits[c] = ip.cap
+	}
+	ip.up = op
+}
+
+// send puts f on the port's link at cycle now: straight into the
+// downstream VC buffer, arriving at now+delay, or onto the eject pipe.
+// The credit the sender spent reserved the buffer slot.
+func (op *OutPort) send(now sim.Cycle, f Flit) {
+	ip := op.dst
+	if ip == nil {
+		op.link.Push(now, f)
+		return
+	}
+	q := &ip.vcs[f.Pkt.Class]
+	if q.n == len(q.buf) {
+		panic(fmt.Sprintf("noc: %s input %s VC %v overflow (credit protocol violated)", ip.r.Name, ip.name, f.Pkt.Class))
+	}
+	// Only a send into an empty ring needs to wake the router: otherwise
+	// it is already armed for the ring's front, which arrives earlier.
+	wake := q.n == 0 && ip.waker != nil
+	at := now + op.delay
+	q.push(f, at)
+	if wake {
+		ip.waker.Wake(at)
+	}
 }
 
 // returnCredit sends one credit for class vc back over the wire at cycle
@@ -276,7 +359,7 @@ func (r *Router) foldInto(s *Stats) {
 func (r *Router) OutLinkLengthsMM() []float64 {
 	var out []float64
 	for _, op := range r.outs {
-		if op.link != nil {
+		if op.connected() {
 			out = append(out, op.lengthMM)
 		}
 	}
@@ -285,75 +368,45 @@ func (r *Router) OutLinkLengthsMM() []float64 {
 
 // Connect wires output out of router a to input in of router b with the
 // given link delay (cycles) and physical length (mm, for energy/area
-// accounting). The flit pipe carries a.PipeDelay + linkDelay of latency;
-// credits return upstream in one cycle.
+// accounting). A flit sent at cycle t arrives at t + a.PipeDelay +
+// linkDelay; credits return upstream in one cycle.
 func Connect(a *Router, out int, b *Router, in int, linkDelay sim.Cycle, lengthMM float64) {
-	name := fmt.Sprintf("%s.%s->%s.%s", a.Name, a.outs[out].name, b.Name, b.ins[in].name)
-	op, ip := a.outs[out], b.ins[in]
-	op.link = sim.NewPipe[Flit](name, a.PipeDelay+linkDelay)
+	op := a.outs[out]
+	op.connect(b.ins[in], a.PipeDelay+linkDelay,
+		fmt.Sprintf("%s.%s->%s.%s", a.Name, op.name, b.Name, b.ins[in].name))
 	op.lengthMM = lengthMM
-	for c := range op.credits {
-		op.credits[c] = ip.cap
-	}
-	ip.in = op.link
-	ip.up = op
 }
 
-// Tick advances the router one cycle: accept arriving flits, then perform
-// switch allocation (one flit per input and per output per cycle,
-// packet-atomic per output VC, credit-gated). Returned credits are folded
-// in lazily, when allocation reads an output's credits.
-func (r *Router) Tick(now sim.Cycle) {
-	for _, ip := range r.ins {
-		if ip.in == nil {
-			continue
-		}
-		for {
-			f, ok := ip.in.Pop(now)
-			if !ok {
-				break
-			}
-			vc := f.Pkt.Class
-			if ip.vcs[vc].len() >= ip.cap {
-				panic(fmt.Sprintf("noc: %s input %s VC %v overflow (credit protocol violated)", r.Name, ip.name, vc))
-			}
-			ip.vcs[vc].push(f)
-		}
-	}
-	r.allocate(now)
-}
-
-// BindWaker implements sim.WakeBinder: every input flit pipe becomes a wake
-// source, so a quiescent router is re-armed the moment traffic is pushed
-// toward it. Credit returns are deliberately not wake sources: a returned
-// credit enables no work on its own, and the allocator folds due credits
-// in whenever it reads them, giving it exactly the credit view the naive
-// kernel would have. All links must be connected before the router is
-// registered with the engine.
+// BindWaker implements sim.WakeBinder: every send into one of the
+// router's input buffers re-arms it for the flit's arrival, so a
+// quiescent router wakes the moment traffic is on its way. Credit
+// returns are deliberately not wake sources: a returned credit enables
+// no work on its own, and the allocator folds due credits in whenever
+// it reads them, giving it exactly the credit view the naive kernel
+// would have.
 func (r *Router) BindWaker(w sim.Waker) {
 	for _, ip := range r.ins {
-		if ip.in != nil {
-			ip.in.SetWaker(w)
-		}
+		ip.waker = w
 	}
 }
 
-// NextWake implements sim.Sleeper. A router holding buffered flits must
+// NextWake implements sim.Sleeper. A router holding an arrived flit must
 // keep arbitrating every cycle (it may be credit-blocked, and the blocking
-// credit is not a wake source); an empty router sleeps until the earliest
-// in-flight flit on any input link can arrive, and indefinitely
-// (NeverWake) when its inputs are dry — the input pipes are its wake
-// sources.
+// credit is not a wake source); otherwise it sleeps until the earliest
+// flit on any input link arrives, and indefinitely (NeverWake) when its
+// buffers are empty — sends are its wake sources. A ring's front is its
+// earliest arrival, so only fronts are read.
 func (r *Router) NextWake(now sim.Cycle) sim.Cycle {
-	if r.occupied() {
-		return now + 1
-	}
 	next := sim.NeverWake
-	for _, ip := range r.ins {
-		if ip.in != nil {
-			if at, ok := ip.in.NextAt(); ok && at < next {
-				next = at
+	for wi, m := range r.occ {
+		for m != 0 {
+			b := wi*64 + bits.TrailingZeros64(m)
+			m &= m - 1
+			at := r.ins[b/vcStride].vcs[b%vcStride].front().at
+			if at <= now+1 {
+				return now + 1
 			}
+			next = min(next, at)
 		}
 	}
 	return next
@@ -369,8 +422,11 @@ func (r *Router) occupied() bool {
 	return false
 }
 
-// allocate performs switch allocation for one cycle.
-func (r *Router) allocate(now sim.Cycle) {
+// Tick performs one cycle of switch allocation: one flit per input and
+// per output per cycle, packet-atomic per output VC, credit-gated.
+// Returned credits are folded in lazily, when allocation reads an
+// output's credits.
+func (r *Router) Tick(now sim.Cycle) {
 	if !r.occupied() {
 		return
 	}
@@ -388,7 +444,7 @@ func (r *Router) allocate(now sim.Cycle) {
 	}
 	if r.prio != nil {
 		for _, cd := range r.prio {
-			if r.ins[cd.Port].vcs[cd.VC].len() > 0 {
+			if b := cd.Port*vcStride + int(cd.VC); r.occ[b/64]&(1<<(b%64)) != 0 {
 				r.grant(now, cd.Port, cd.VC)
 			}
 		}
@@ -432,21 +488,29 @@ func (r *Router) grantAll(now sim.Cycle, wi int, m uint64) {
 	}
 }
 
-// grant moves the head flit of input port in, VC vc, to its output if the
-// input and output are free this cycle, packet atomicity allows it, and
-// the downstream buffer has credit.
+// grant moves the head flit of input port in, VC vc, to its output if it
+// has arrived, the input and output are free this cycle, packet
+// atomicity allows it, and the downstream buffer has credit.
 func (r *Router) grant(now sim.Cycle, in int, vc Class) {
 	if r.inUsed[in] {
 		return
 	}
 	ip := r.ins[in]
-	f := ip.vcs[vc].front()
-	out := r.routeOf(f.Pkt)
+	q := &ip.vcs[vc]
+	s := q.front()
+	if s.at > now {
+		return // still on the link
+	}
+	f := s.f
+	if q.pkt != f.Pkt {
+		q.pkt, q.out = f.Pkt, r.routeOf(f.Pkt)
+	}
+	out := q.out
 	if r.outUsed[out] {
 		return
 	}
 	op := r.outs[out]
-	if op.link == nil {
+	if !op.connected() {
 		panic(fmt.Sprintf("noc: %s output %s not connected", r.Name, op.name))
 	}
 	// Packet atomicity: an output VC is owned by one packet from head
@@ -471,7 +535,7 @@ func (r *Router) grant(now sim.Cycle, in int, vc Class) {
 		return
 	}
 	// Grant.
-	ip.vcs[vc].pop()
+	q.pop()
 	op.credits[vc]--
 	if f.Head() {
 		op.owner[vc] = f.Pkt
@@ -479,8 +543,9 @@ func (r *Router) grant(now sim.Cycle, in int, vc Class) {
 	}
 	if f.Tail() {
 		op.owner[vc] = nil
+		q.pkt = nil
 	}
-	op.link.Push(now, f)
+	op.send(now, f)
 	if ip.up != nil {
 		ip.up.returnCredit(now, vc)
 	}

@@ -16,11 +16,16 @@ import (
 // and re-links the same sharing structure. Payloads are opaque here (the
 // protocol layer sits above noc), so callers supply the payload codec.
 //
-// Pipe ownership: every flit pipe is serialized at its consumer (router
-// input ports and NI eject sides), so each shared pipe is written exactly
-// once. The credit wire of an output port (router outputs and NI inject
-// sides) is serialized with the port, in the shape of a credit pipe: a
-// count, then one (delta-coded delivery cycle, VC) entry per credit.
+// Links: every flit link is serialized at its consumer (router input
+// ports and NI eject sides), so each is written exactly once. A router
+// input's buffers hold both its arrived flits and the flits on its link;
+// the input is written as each VC's arrived flits, then the link in the
+// shape of a flit pipe: a count, then one (delta-coded arrival cycle,
+// flit) entry per flit in arrival order. "Arrived" is relative to the
+// snapshot cycle. The credit wire of an output port (router outputs and
+// NI inject sides) is serialized with the port, in the shape of a credit
+// pipe: a count, then one (delta-coded delivery cycle, VC) entry per
+// credit.
 
 // PayloadEnc encodes one packet payload.
 type PayloadEnc func(e *ckpt.Enc, payload any)
@@ -151,9 +156,78 @@ func (op *OutPort) loadCredits(d *ckpt.Dec) {
 	}
 }
 
+// eachOnLink calls fn for every flit on the port's input link at cycle
+// now — the not-yet-arrived tails of the VC rings — in arrival order.
+// One link carries at most one flit per cycle, so the arrival cycles of
+// the merged tails are distinct.
+func (ip *InPort) eachOnLink(now sim.Cycle, fn func(at sim.Cycle, f Flit)) {
+	var next [NumClasses]int
+	for c := range ip.vcs {
+		next[c] = ip.vcs[c].arrived(now)
+	}
+	for {
+		best, bestAt := -1, sim.Cycle(0)
+		for c := range ip.vcs {
+			if q := &ip.vcs[c]; next[c] < q.n {
+				if at := q.entry(next[c]).at; best < 0 || at < bestAt {
+					best, bestAt = c, at
+				}
+			}
+		}
+		if best < 0 {
+			return
+		}
+		fn(bestAt, ip.vcs[best].entry(next[best]).f)
+		next[best]++
+	}
+}
+
+// saveLink writes the flits on the port's input link at cycle now in
+// flit-pipe shape.
+func (ip *InPort) saveLink(e *ckpt.Enc, now sim.Cycle, put func(e *ckpt.Enc, f Flit)) {
+	n := 0
+	for c := range ip.vcs {
+		n += ip.vcs[c].n - ip.vcs[c].arrived(now)
+	}
+	e.U64(uint64(n))
+	prev := sim.Cycle(0)
+	ip.eachOnLink(now, func(at sim.Cycle, f Flit) {
+		e.I64(int64(at - prev))
+		prev = at
+		put(e, f)
+	})
+}
+
+// loadLink reads a flit-pipe-shaped link section back into the VC
+// buffers behind their arrived flits. Arrival cycles must be strictly
+// increasing and after the snapshot cycle now, and a VC's buffered plus
+// in-flight flits must fit its buffer, as the credit protocol guarantees.
+func (ip *InPort) loadLink(d *ckpt.Dec, now sim.Cycle, get func(d *ckpt.Dec) Flit) {
+	n := d.Count()
+	prev, last := sim.Cycle(0), now
+	for i := 0; i < n && d.Err() == nil; i++ {
+		prev += sim.Cycle(d.I64())
+		f := get(d)
+		if d.Err() != nil {
+			return
+		}
+		if prev <= last {
+			d.Corrupt("%s input %s: link arrival cycle %d is not after %d", ip.r.Name, ip.name, prev, last)
+			return
+		}
+		last = prev
+		q := &ip.vcs[f.Pkt.Class]
+		if q.n == len(q.buf) {
+			d.Corrupt("%s input %s VC %v: link flits overflow the %d-flit buffer", ip.r.Name, ip.name, f.Pkt.Class, len(q.buf))
+			return
+		}
+		q.push(f, prev)
+	}
+}
+
 // forEachPacket walks every live packet reference in the fixed traversal
-// order the codec relies on.
-func (rn *RouterNetwork) forEachPacket(visit func(p *Packet)) {
+// order the codec relies on; now is the snapshot cycle.
+func (rn *RouterNetwork) forEachPacket(now sim.Cycle, visit func(p *Packet)) {
 	for _, ni := range rn.NIs {
 		if ni == nil {
 			continue
@@ -169,13 +243,11 @@ func (rn *RouterNetwork) forEachPacket(visit func(p *Packet)) {
 		for _, ip := range r.ins {
 			for c := range ip.vcs {
 				q := &ip.vcs[c]
-				for i := 0; i < q.n; i++ {
-					visit(q.buf[(q.head+i)%len(q.buf)].Pkt)
+				for i := range q.arrived(now) {
+					visit(q.entry(i).f.Pkt)
 				}
 			}
-			if ip.in != nil {
-				ip.in.Each(func(_ sim.Cycle, f Flit) { visit(f.Pkt) })
-			}
+			ip.eachOnLink(now, func(_ sim.Cycle, f Flit) { visit(f.Pkt) })
 		}
 		for _, op := range r.outs {
 			for c := range op.owner {
@@ -187,14 +259,14 @@ func (rn *RouterNetwork) forEachPacket(visit func(p *Packet)) {
 	}
 }
 
-// SaveState implements the network's side of ckpt.Saver; put encodes each
-// packet's payload. The network's local accounting is folded into the
-// shared Stats first, so per-router/per-port deltas are zero at the
-// snapshot and only the folded totals travel.
-func (rn *RouterNetwork) SaveState(e *ckpt.Enc, put PayloadEnc) {
+// SaveState implements the network's side of ckpt.Saver at snapshot
+// cycle now; put encodes each packet's payload. The network's local
+// accounting is folded into the shared Stats first, so per-router/per-port
+// deltas are zero at the snapshot and only the folded totals travel.
+func (rn *RouterNetwork) SaveState(e *ckpt.Enc, now sim.Cycle, put PayloadEnc) {
 	rn.fold()
 	t := &pktTable{idx: make(map[*Packet]int)}
-	rn.forEachPacket(t.add)
+	rn.forEachPacket(now, t.add)
 
 	e.U64(uint64(len(t.pkts)))
 	for _, p := range t.pkts {
@@ -213,7 +285,7 @@ func (rn *RouterNetwork) SaveState(e *ckpt.Enc, put PayloadEnc) {
 		for c := range ni.out.credits {
 			e.Int(ni.out.credits[c])
 		}
-		if ni.out.link != nil {
+		if ni.out.connected() {
 			ni.out.saveCredits(e)
 		}
 		if ni.eject != nil {
@@ -226,13 +298,14 @@ func (rn *RouterNetwork) SaveState(e *ckpt.Enc, put PayloadEnc) {
 		for _, ip := range r.ins {
 			for c := range ip.vcs {
 				q := &ip.vcs[c]
-				e.U64(uint64(q.n))
-				for i := 0; i < q.n; i++ {
-					t.putFlit(e, q.buf[(q.head+i)%len(q.buf)])
+				k := q.arrived(now)
+				e.U64(uint64(k))
+				for i := range k {
+					t.putFlit(e, q.entry(i).f)
 				}
 			}
-			if ip.in != nil {
-				ip.in.SaveState(e, t.putFlit)
+			if ip.up != nil {
+				ip.saveLink(e, now, t.putFlit)
 			}
 		}
 		for _, op := range r.outs {
@@ -248,7 +321,7 @@ func (rn *RouterNetwork) SaveState(e *ckpt.Enc, put PayloadEnc) {
 				}
 			}
 			e.I64(op.sent)
-			if op.link != nil {
+			if op.connected() {
 				op.saveCredits(e)
 			}
 		}
@@ -267,9 +340,10 @@ func (rn *RouterNetwork) SaveState(e *ckpt.Enc, put PayloadEnc) {
 	e.I64(s.InjectFlits)
 }
 
-// LoadState is the inverse of SaveState; get decodes each payload. The
-// network must be freshly built with the donor's topology.
-func (rn *RouterNetwork) LoadState(d *ckpt.Dec, get PayloadDec) {
+// LoadState is the inverse of SaveState for a snapshot taken at cycle
+// now; get decodes each payload. The network must be freshly built with
+// the donor's topology. Buffered flits are restored as arrived at now.
+func (rn *RouterNetwork) LoadState(d *ckpt.Dec, now sim.Cycle, get PayloadDec) {
 	n := d.Count()
 	if d.Err() != nil {
 		return
@@ -298,7 +372,7 @@ func (rn *RouterNetwork) LoadState(d *ckpt.Dec, get PayloadDec) {
 		for c := range ni.out.credits {
 			ni.out.credits[c] = d.Int()
 		}
-		if ni.out.link != nil {
+		if ni.out.connected() {
 			ni.out.loadCredits(d)
 		}
 		if ni.eject != nil {
@@ -323,18 +397,13 @@ func (rn *RouterNetwork) LoadState(d *ckpt.Dec, get PayloadDec) {
 					d.Corrupt("VC occupancy %d exceeds buffer capacity %d", cnt, len(q.buf))
 					return
 				}
-				q.head = 0
-				q.n = cnt
-				for i := range q.buf {
-					q.buf[i] = Flit{}
+				q.reset()
+				for range cnt {
+					q.push(t.getFlit(d), now)
 				}
-				for i := 0; i < cnt; i++ {
-					q.buf[i] = t.getFlit(d)
-				}
-				q.syncOcc()
 			}
-			if ip.in != nil {
-				ip.in.LoadState(d, t.getFlit)
+			if ip.up != nil {
+				ip.loadLink(d, now, t.getFlit)
 			}
 		}
 		for _, op := range r.outs {
@@ -350,7 +419,7 @@ func (rn *RouterNetwork) LoadState(d *ckpt.Dec, get PayloadDec) {
 			}
 			op.sent = d.I64()
 			op.sentFolded = op.sent
-			if op.link != nil {
+			if op.connected() {
 				op.loadCredits(d)
 			}
 		}

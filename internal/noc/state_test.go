@@ -128,10 +128,10 @@ func TestCreditWireCheckpointRoundTrip(t *testing.T) {
 		src := newLineRun(t)
 		src.e.Step(at)
 		var e ckpt.Enc
-		src.rn.SaveState(&e, noPayload)
+		src.rn.SaveState(&e, at, noPayload)
 		dst := newLineRun(t)
 		d := ckpt.NewDec(e.Bytes())
-		dst.rn.LoadState(d, nilPayload)
+		dst.rn.LoadState(d, at, nilPayload)
 		if d.Err() != nil || d.Remaining() != 0 {
 			t.Fatalf("cycle %d: load: %v (%d bytes left)", at, d.Err(), d.Remaining())
 		}
@@ -152,7 +152,7 @@ func TestLoadStateRejectsHostileCredits(t *testing.T) {
 	op := rn.Routers[0].outs[0]
 	op.pend[ClassResp], op.pendAt = 1, 123456 // a pattern easy to find
 	var e ckpt.Enc
-	rn.SaveState(&e, noPayload)
+	rn.SaveState(&e, 0, noPayload)
 	var marker ckpt.Enc
 	encodeCreditPipe(&marker, []creditEntry{{123456, uint64(ClassResp)}})
 	for name, entries := range map[string][]creditEntry{
@@ -166,9 +166,68 @@ func TestLoadStateRejectsHostileCredits(t *testing.T) {
 			t.Fatal("credit section not found in the snapshot")
 		}
 		d := ckpt.NewDec(data)
-		lineNet(t, 2, 1, 2).LoadState(d, nilPayload)
+		lineNet(t, 2, 1, 2).LoadState(d, 0, nilPayload)
 		if d.Err() == nil {
 			t.Errorf("%s: LoadState accepted a hostile credit section", name)
+		}
+	}
+}
+
+// linkEntry is one flit of a flit-pipe-shaped link section: arrival
+// cycle, packet-table index, and sequence number.
+type linkEntry struct {
+	at       sim.Cycle
+	pkt, seq int
+}
+
+func encodeLink(e *ckpt.Enc, entries []linkEntry) {
+	e.U64(uint64(len(entries)))
+	prev := sim.Cycle(0)
+	for _, l := range entries {
+		e.I64(int64(l.at - prev))
+		prev = l.at
+		e.U64(uint64(l.pkt))
+		e.Int(l.seq)
+	}
+}
+
+// TestLoadStateRejectsHostileLinks splices hostile link sections into a
+// real snapshot taken at cycle 1000. The second router's input holds a
+// buffered request (packet 0) and one response flit on its link (packet
+// 1, arriving at 1001). LoadState must report corruption when the link
+// overflows a VC buffer or its arrival cycles are not strictly
+// increasing and after the snapshot cycle.
+func TestLoadStateRejectsHostileLinks(t *testing.T) {
+	const now = 1000
+	rn := lineNet(t, 2, 1, 2)
+	ip := rn.Routers[1].ins[0]
+	ip.vcs[ClassReq].push(Flit{Pkt: &Packet{Class: ClassReq, Size: 1}}, now-3)
+	ip.vcs[ClassResp].push(Flit{Pkt: &Packet{Class: ClassResp, Size: 2}}, now+1)
+	var e ckpt.Enc
+	rn.SaveState(&e, now, noPayload)
+	var marker ckpt.Enc
+	encodeLink(&marker, []linkEntry{{now + 1, 1, 0}})
+	if bytes.Count(e.Bytes(), marker.Bytes()) != 1 {
+		t.Fatal("link section not found exactly once in the snapshot")
+	}
+	d := ckpt.NewDec(e.Bytes())
+	lineNet(t, 2, 1, 2).LoadState(d, now, nilPayload)
+	if d.Err() != nil || d.Remaining() != 0 {
+		t.Fatalf("untouched snapshot: %v (%d bytes left)", d.Err(), d.Remaining())
+	}
+	for name, entries := range map[string][]linkEntry{
+		"VC overflow":        {{now + 1, 0, 0}, {now + 2, 0, 0}},
+		"repeated arrival":   {{now + 2, 1, 0}, {now + 2, 1, 1}},
+		"decreasing arrival": {{now + 3, 1, 0}, {now + 2, 1, 1}},
+		"at snapshot cycle":  {{now, 1, 0}},
+		"before snapshot":    {{now - 5, 1, 0}},
+	} {
+		var bad ckpt.Enc
+		encodeLink(&bad, entries)
+		d := ckpt.NewDec(bytes.Replace(e.Bytes(), marker.Bytes(), bad.Bytes(), 1))
+		lineNet(t, 2, 1, 2).LoadState(d, now, nilPayload)
+		if d.Err() == nil {
+			t.Errorf("%s: LoadState accepted a hostile link section", name)
 		}
 	}
 }

@@ -59,17 +59,18 @@ func (c *queueConsumer) NextWake(now Cycle) Cycle {
 }
 
 // TestPipeFIFOAcrossSleepWake is the kernel-equivalence property test: for
-// randomized interleavings of Push/PushAfter (with randomized extra delays
-// and long idle gaps that force the consumer through sleep/wake
-// transitions), the scheduled kernel must deliver exactly the same values
-// at exactly the same cycles as the naive kernel, in FIFO order.
+// randomized push schedules (single pushes and bursts, a randomized pipe
+// delay per seed, and long idle gaps that force the consumer through
+// sleep/wake transitions), the scheduled kernel must deliver exactly the
+// same values at exactly the same cycles as the naive kernel, in FIFO
+// order.
 func TestPipeFIFOAcrossSleepWake(t *testing.T) {
 	for seed := uint64(1); seed <= 25; seed++ {
 		run := func(scheduled bool) []delivery {
 			e := NewEngine()
 			e.SetScheduled(scheduled)
-			p := NewPipe[int]("prop", 2)
 			rng := NewRNG(seed)
+			p := NewPipe[int]("prop", 1+Cycle(rng.Intn(30)))
 			next := 0
 			// The producer is a plain ticker (always awake) so both kernels
 			// draw the identical random push schedule.
@@ -78,12 +79,9 @@ func TestPipeFIFOAcrossSleepWake(t *testing.T) {
 				case 0:
 					p.Push(now, next)
 					next++
-				case 1:
-					p.PushAfter(now, Cycle(rng.Intn(30)), next)
-					next++
-				case 2: // burst
+				case 1: // burst
 					for k := 0; k < 3; k++ {
-						p.PushAfter(now, Cycle(rng.Intn(5)), next)
+						p.Push(now, next)
 						next++
 					}
 				}

@@ -76,26 +76,11 @@ func (p *Pipe[T]) Push(now Cycle, v T) {
 	}
 }
 
-// PushAfter inserts v with an additional extra cycles of latency on top of
-// the pipe's base delay. Useful for modelling pipelines whose depth depends
-// on the value (for example distance-proportional links).
-func (p *Pipe[T]) PushAfter(now Cycle, extra Cycle, v T) {
-	if extra < 0 {
-		extra = 0
-	}
-	at := now + p.delay + extra
-	p.q = append(p.q, pipeEntry[T]{at: at, v: v})
-	if p.waker != nil {
-		p.waker.Wake(at)
-	}
-}
-
 // Pop removes and returns the oldest value whose delivery time has arrived.
 // The second result is false when nothing is deliverable at cycle now.
 //
-// Values are delivered strictly in push order; a value with a shorter
-// per-value extra delay never overtakes an earlier value (this models a
-// FIFO wire, and keeps flit order within a packet intact).
+// Values are delivered strictly in push order (the delay is fixed, so
+// delivery cycles never decrease).
 func (p *Pipe[T]) Pop(now Cycle) (T, bool) {
 	var zero T
 	if p.head == len(p.q) || p.q[p.head].at > now {

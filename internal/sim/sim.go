@@ -5,12 +5,15 @@
 //
 // # Determinism rules
 //
-//   - Components communicate only through Pipe values (or through message
-//     queues drained at the start of the receiver's Tick), never by calling
-//     into each other mid-cycle.
+//   - A value one component hands to another becomes visible at a
+//     strictly future cycle: through a Pipe, or by a write into the
+//     receiver's buffer stamped with its arrival cycle, which the receiver
+//     ignores until then (the router links in package noc). Message queues
+//     drained at the start of the receiver's Tick are the one same-cycle
+//     path. Components never call into each other mid-cycle.
 //   - Within a cycle the Engine ticks components in registration order; a
-//     correct component only consumes values that were pushed on an earlier
-//     cycle, so registration order never changes results.
+//     correct component only consumes values that were handed over on an
+//     earlier cycle, so registration order never changes results.
 //
 // # The scheduled kernel
 //
@@ -22,13 +25,16 @@
 //
 //   - A component implementing Sleeper reports, after each Tick, the next
 //     cycle at which it can possibly do work. The report must account for
-//     everything already in flight on its inputs (Pipe.NextAt, Queue.Len);
+//     everything already in flight on its inputs (Pipe.NextAt, Queue.Len,
+//     stamped buffer entries);
 //     NeverWake means "purely reactive: my wake sources will re-arm me".
 //     Components that do not implement Sleeper are ticked every cycle,
 //     which is always safe.
-//   - Every input path is a wake source: Pipe.Push, Pipe.PushAfter, and
-//     Queue.Push re-arm the registered consumer (SetWaker / the engine's
-//     WakeBinder hook), so a sleeping component can never miss input.
+//   - Every input path is a wake source: Pipe.Push, Queue.Push and every
+//     stamped buffer write re-arm the registered consumer (SetWaker / the
+//     engine's WakeBinder hook), so a sleeping component can never miss
+//     input. A stamped write queued behind an earlier pending entry may
+//     skip the wake: the consumer is already armed for that entry.
 //   - A wake for the current cycle honors registration order: it lands this
 //     cycle if the consumer's turn has not passed yet, else next cycle —
 //     exactly when the naive kernel would have let the consumer see the

@@ -60,23 +60,6 @@ func TestPipeDelay(t *testing.T) {
 	}
 }
 
-func TestPipeFIFONoOvertaking(t *testing.T) {
-	p := NewPipe[int]("test", 1)
-	p.PushAfter(0, 5, 1) // deliverable at 6
-	p.PushAfter(1, 0, 2) // nominally deliverable at 2, but must not overtake
-	if _, ok := p.Pop(2); ok {
-		t.Fatal("second value overtook the first")
-	}
-	v, _ := p.Pop(6)
-	if v != 1 {
-		t.Fatalf("got %d want 1", v)
-	}
-	v, _ = p.Pop(6)
-	if v != 2 {
-		t.Fatalf("got %d want 2", v)
-	}
-}
-
 func TestPipePanicsOnZeroDelay(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -55,7 +55,7 @@ type scheduledProducer struct {
 
 func (s *scheduledProducer) Tick(now Cycle) {
 	for s.i < len(s.at) && s.at[s.i] == now {
-		s.p.PushAfter(now, Cycle(s.i%5), s.i)
+		s.p.Push(now, s.i)
 		s.q.Push(s.i)
 		s.log.add(now, 0, s.i)
 		s.i++
@@ -233,11 +233,11 @@ func TestWheelEarlierRearmBeatsFarArm(t *testing.T) {
 func TestWheelFarArmSurvivesIdleJump(t *testing.T) {
 	e := NewEngine()
 	s := &strideSleeper{id: 1, stride: 1000, log: &wheelLog{}}
-	p := NewPipe[int]("gap", 2)
+	p := NewPipe[int]("gap", 152)
 	c := &pipeConsumer{p: p}
 	e.Register(s, c)
-	e.Step(900)                  // the far arm at 1000 is now inside the window
-	p.PushAfter(e.Now(), 150, 7) // due at 1052, after the migrated arm
+	e.Step(900)        // the far arm at 1000 is now inside the window
+	p.Push(e.Now(), 7) // due at 1052, after the migrated arm
 	for e.Now() < 5000 {
 		e.Step(333)
 	}

@@ -16,7 +16,7 @@ import (
 
 // SaveState serializes the fabric's in-flight state; put encodes each
 // packet's payload.
-func (id *Ideal) SaveState(e *ckpt.Enc, put noc.PayloadEnc) {
+func (id *Ideal) SaveState(e *ckpt.Enc, _ sim.Cycle, put noc.PayloadEnc) {
 	ats := make([]sim.Cycle, 0, len(id.buckets))
 	for at := range id.buckets {
 		ats = append(ats, at)
@@ -50,7 +50,7 @@ func (id *Ideal) SaveState(e *ckpt.Enc, put noc.PayloadEnc) {
 // LoadState is the inverse of SaveState. The fabric must be freshly built
 // over the donor's floorplan; no wakes are raised (the engine re-arms the
 // fabric wholesale on restore).
-func (id *Ideal) LoadState(d *ckpt.Dec, get noc.PayloadDec) {
+func (id *Ideal) LoadState(d *ckpt.Dec, _ sim.Cycle, get noc.PayloadDec) {
 	id.due.Clear()
 	clear(id.buckets)
 	n := d.Count()

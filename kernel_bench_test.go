@@ -177,3 +177,48 @@ func timed(f func()) int64 {
 	f()
 	return time.Since(start).Nanoseconds()
 }
+
+// BenchmarkRouterLoad is the router layer's benchmark: noc.MeasureLoad
+// drives the paper's core-to-LLC bilateral pattern (single-flit requests,
+// line-sized responses) at a fixed network-wide injection rate through a
+// bare fabric built by the design's Organization — Mesh's 8×8 tiles and
+// NOC-Out's trees plus flattened butterfly, 64 cores each. No cores or
+// caches run, so ns/cycle and ns/flit-hop price the routers, NIs and the
+// wake calendar alone. The rate sits below both fabrics' saturation.
+func BenchmarkRouterLoad(b *testing.B) {
+	const rate, warmup, window = 1.0, 1000, 10_000
+	for _, d := range []Design{Mesh, NOCOut} {
+		b.Run(d.String(), func(b *testing.B) {
+			cfg := DefaultConfig(d)
+			org, err := chip.OrganizationOf(d)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var hops int64
+			var lp noc.LoadPoint
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				fab := org.Build(cfg)
+				var cores, banks []noc.NodeID
+				for c := 0; c < cfg.Cores; c++ {
+					cores = append(cores, fab.CoreNode(c))
+				}
+				for k := 0; k < fab.NumBanks; k++ {
+					banks = append(banks, fab.BankNode(k))
+				}
+				pattern := noc.BilateralPattern(cores, banks, noc.FlitsFor(64, cfg.LinkBits))
+				b.StartTimer()
+				lp = noc.MeasureLoad(fab.Net, append(cores, banks...), pattern, rate, warmup, window, cfg.Seed)
+				for _, r := range fab.Routers {
+					hops += r.FlitsRouted()
+				}
+			}
+			if lp.Saturated {
+				b.Fatalf("%s saturated at %.2f pkts/cycle: %+v", d, rate, lp)
+			}
+			ns := float64(b.Elapsed().Nanoseconds())
+			b.ReportMetric(ns/float64(int64(warmup+window)*int64(b.N)), "ns/cycle")
+			b.ReportMetric(ns/float64(hops), "ns/flit-hop")
+		})
+	}
+}
