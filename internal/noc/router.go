@@ -113,7 +113,7 @@ type InPort struct {
 	cap   int // flits per VC
 	vcs   [NumClasses]flitRing
 	up    *OutPort  // upstream sender whose credits this buffer returns; nil while unconnected
-	waker sim.Waker // the owning router's wake handle, re-armed by every send
+	waker sim.Waker // the owning router's wake handle, armed by sends into empty rings
 	r     *Router   // owning router, named by the overflow panic
 }
 
