@@ -145,10 +145,10 @@ type flitRing struct {
 	occ  *uint64
 	bit  uint64
 
-	// pkt is the packet whose flits are leaving the ring and out its
-	// output port. A VC carries a packet's flits contiguously, so body
-	// flits reuse the head's route; the tail clears pkt before the
-	// packet can be delivered and recycled.
+	// pkt and out cache the route of the packet leaving the ring. A VC
+	// carries a packet's flits contiguously, so body flits reuse the
+	// head's route; the tail clears pkt before the packet can be
+	// delivered and recycled.
 	pkt *Packet
 	out int
 }
@@ -377,9 +377,10 @@ func Connect(a *Router, out int, b *Router, in int, linkDelay sim.Cycle, lengthM
 	op.lengthMM = lengthMM
 }
 
-// BindWaker implements sim.WakeBinder: every send into one of the
-// router's input buffers re-arms it for the flit's arrival, so a
-// quiescent router wakes the moment traffic is on its way. Credit
+// BindWaker implements sim.WakeBinder: a send into an empty input buffer
+// re-arms the router for the flit's arrival, so a quiescent router wakes
+// the moment traffic is on its way (a send behind a pending flit needs
+// no wake: the router is armed for that flit already). Credit
 // returns are deliberately not wake sources: a returned credit enables
 // no work on its own, and the allocator folds due credits in whenever
 // it reads them, giving it exactly the credit view the naive kernel
