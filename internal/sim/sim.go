@@ -26,10 +26,9 @@
 //   - A component implementing Sleeper reports, after each Tick, the next
 //     cycle at which it can possibly do work. The report must account for
 //     everything already in flight on its inputs (Pipe.NextAt, Queue.Len,
-//     stamped buffer entries);
-//     NeverWake means "purely reactive: my wake sources will re-arm me".
-//     Components that do not implement Sleeper are ticked every cycle,
-//     which is always safe.
+//     stamped buffer entries); NeverWake means "purely reactive: my wake
+//     sources will re-arm me". Components that do not implement Sleeper
+//     are ticked every cycle, which is always safe.
 //   - Every input path is a wake source: Pipe.Push, Queue.Push and every
 //     stamped buffer write re-arm the registered consumer (SetWaker / the
 //     engine's WakeBinder hook), so a sleeping component can never miss
