@@ -80,7 +80,7 @@ func (a *Array) Lookup(line uint64) (slot int, hit bool) {
 	base := s * a.ways
 	for w := 0; w < a.ways; w++ {
 		i := base + w
-		if a.valid[i] && a.tags[i] == line {
+		if a.tags[i] == line && a.valid[i] {
 			a.clock++
 			a.age[i] = a.clock
 			return i, true
@@ -95,7 +95,7 @@ func (a *Array) Probe(line uint64) (slot int, hit bool) {
 	base := s * a.ways
 	for w := 0; w < a.ways; w++ {
 		i := base + w
-		if a.valid[i] && a.tags[i] == line {
+		if a.tags[i] == line && a.valid[i] {
 			return i, true
 		}
 	}
@@ -156,6 +156,30 @@ func (a *Array) VictimOf(line uint64) (slot int, victim uint64, hadVictim bool) 
 	return victimSlot, a.tags[victimSlot], true
 }
 
+// Place installs line without evicting, in one scan of its set. It
+// returns the line's slot and present=true if it is already resident, else
+// installs it in the first free way (as Insert would) and returns that
+// slot, else reports the set full with slot -1. Prewarming uses it.
+func (a *Array) Place(line uint64) (slot int, present bool) {
+	base := a.set(line) * a.ways
+	slot = -1
+	for i := base; i < base+a.ways; i++ {
+		if a.tags[i] == line && a.valid[i] {
+			return i, true
+		}
+		if slot < 0 && !a.valid[i] {
+			slot = i
+		}
+	}
+	if slot >= 0 {
+		a.clock++
+		a.tags[slot] = line
+		a.valid[slot] = true
+		a.age[slot] = a.clock
+	}
+	return slot, false
+}
+
 // Invalidate removes line if present and reports whether it was present.
 func (a *Array) Invalidate(line uint64) bool {
 	if i, hit := a.Probe(line); hit {
@@ -189,10 +213,12 @@ type MSHR struct {
 }
 
 // MSHRFile is a bounded set of outstanding misses; its capacity is the
-// hardware's memory-level-parallelism limit.
+// hardware's memory-level-parallelism limit. Live entries are packed at the
+// front of a fixed array and found by linear scan: capacity is small (16 in
+// Table 1), so the scan beats a map and nothing is allocated per miss.
 type MSHRFile struct {
-	cap int
-	m   map[uint64]*MSHR
+	n    int
+	ents []MSHR // len is the capacity; ents[:n] are live
 }
 
 // NewMSHRFile returns a file with the given capacity.
@@ -200,42 +226,60 @@ func NewMSHRFile(capacity int) *MSHRFile {
 	if capacity < 1 {
 		panic("cache: MSHR capacity must be positive")
 	}
-	return &MSHRFile{cap: capacity, m: make(map[uint64]*MSHR, capacity)}
+	return &MSHRFile{ents: make([]MSHR, capacity)}
 }
 
 // Full reports whether a new allocation would exceed capacity.
-func (f *MSHRFile) Full() bool { return len(f.m) >= f.cap }
+func (f *MSHRFile) Full() bool { return f.n >= len(f.ents) }
 
 // Len returns the number of outstanding misses.
-func (f *MSHRFile) Len() int { return len(f.m) }
+func (f *MSHRFile) Len() int { return f.n }
 
 // Cap returns the capacity.
-func (f *MSHRFile) Cap() int { return f.cap }
+func (f *MSHRFile) Cap() int { return len(f.ents) }
 
-// Get returns the MSHR for line, if any.
+// find returns the index of line's entry, or -1.
+func (f *MSHRFile) find(line uint64) int {
+	for i := range f.ents[:f.n] {
+		if f.ents[i].Line == line {
+			return i
+		}
+	}
+	return -1
+}
+
+// Get returns the MSHR for line, if any. The pointer is valid until the
+// next Alloc or Free.
 func (f *MSHRFile) Get(line uint64) (*MSHR, bool) {
-	m, ok := f.m[line]
-	return m, ok
+	if i := f.find(line); i >= 0 {
+		return &f.ents[i], true
+	}
+	return nil, false
 }
 
 // Alloc registers a new outstanding miss; it panics if the line already has
-// an MSHR or the file is full (callers must check).
+// an MSHR or the file is full (callers must check). The pointer is valid
+// until the next Alloc or Free.
 func (f *MSHRFile) Alloc(line uint64, isWrite, instr bool) *MSHR {
-	if _, ok := f.m[line]; ok {
+	if f.find(line) >= 0 {
 		panic(fmt.Sprintf("cache: duplicate MSHR for line %#x", line))
 	}
 	if f.Full() {
 		panic("cache: MSHR file overflow")
 	}
-	m := &MSHR{Line: line, IsWrite: isWrite, Instr: instr}
-	f.m[line] = m
+	m := &f.ents[f.n]
+	*m = MSHR{Line: line, IsWrite: isWrite, Instr: instr}
+	f.n++
 	return m
 }
 
-// Free releases the MSHR for line.
+// Free releases the MSHR for line, moving the last live entry into its
+// place.
 func (f *MSHRFile) Free(line uint64) {
-	if _, ok := f.m[line]; !ok {
+	i := f.find(line)
+	if i < 0 {
 		panic(fmt.Sprintf("cache: freeing absent MSHR %#x", line))
 	}
-	delete(f.m, line)
+	f.n--
+	f.ents[i] = f.ents[f.n]
 }

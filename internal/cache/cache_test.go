@@ -1,8 +1,12 @@
 package cache
 
 import (
+	"bytes"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
+
+	"nocout/internal/ckpt"
 )
 
 func TestLineAddr(t *testing.T) {
@@ -189,4 +193,142 @@ func TestMSHROverflowPanics(t *testing.T) {
 	f := NewMSHRFile(1)
 	f.Alloc(1, false, false)
 	f.Alloc(2, false, false)
+}
+
+// TestArrayPlaceMatchesProbeVictimInsert drives Place and the sequence it
+// replaced (Contains, then VictimOf, then Insert into a free way) with the
+// same random lines on twin arrays. Lines repeat and sets fill up; after
+// every step the slot, the result and the SaveState bytes must agree.
+func TestArrayPlaceMatchesProbeVictimInsert(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		bytes, ways int
+		hashed      bool
+		span        uint64
+	}{
+		{"l1-2way", 32 << 10, 2, false, 1024},
+		{"llc-16way-hashed", 64 << 10, 16, true, 2048},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ref, got := NewArray(tc.bytes, tc.ways), NewArray(tc.bytes, tc.ways)
+			ref.SetHash(tc.hashed)
+			got.SetHash(tc.hashed)
+			rng := rand.New(rand.NewPCG(1, 2))
+			full := 0
+			for step := 0; step < 4000; step++ {
+				line := rng.Uint64N(tc.span)
+				if step%7 == 0 {
+					line += rng.Uint64N(1 << 40) // far tags share the sets
+				}
+				wantSlot, wantPresent := -1, ref.Contains(line)
+				if wantPresent {
+					wantSlot, _ = ref.Probe(line)
+				} else if _, _, isFull := ref.VictimOf(line); !isFull {
+					wantSlot, _, _ = ref.Insert(line)
+				} else {
+					full++
+				}
+				slot, present := got.Place(line)
+				if slot != wantSlot || present != wantPresent {
+					t.Fatalf("step %d line %#x: Place = %d,%v, sequence = %d,%v", step, line, slot, present, wantSlot, wantPresent)
+				}
+				var re, ge ckpt.Enc
+				ref.SaveState(&re)
+				got.SaveState(&ge)
+				if !bytes.Equal(re.Bytes(), ge.Bytes()) {
+					t.Fatalf("step %d line %#x: SaveState bytes differ", step, line)
+				}
+			}
+			if full == 0 {
+				t.Fatal("no step met a full set")
+			}
+		})
+	}
+}
+
+// TestMSHRFileNoAllocs pins that a miss's MSHR lifetime allocates nothing.
+func TestMSHRFileNoAllocs(t *testing.T) {
+	f := NewMSHRFile(16)
+	f.Alloc(1<<40, false, false) // a live entry the scans pass over
+	line := uint64(0)
+	allocs := testing.AllocsPerRun(1000, func() {
+		line++
+		f.Alloc(line, true, false)
+		if m, ok := f.Get(line); ok {
+			m.Waiters++
+		}
+		f.Free(line)
+	})
+	if allocs != 0 {
+		t.Fatalf("Alloc/Get/Free allocates %.1f per cycle", allocs)
+	}
+}
+
+// TestMSHRSaveStateOrderFree saves the same outstanding misses reached by
+// different allocation and free orders: the bytes must not differ.
+func TestMSHRSaveStateOrderFree(t *testing.T) {
+	lines := []uint64{40, 7, 1 << 33, 12, 9, 300}
+	var want []byte
+	rng := rand.New(rand.NewPCG(3, 4))
+	for trial := 0; trial < 20; trial++ {
+		f := NewMSHRFile(8)
+		for _, i := range rng.Perm(len(lines)) {
+			m := f.Alloc(lines[i], lines[i]%2 == 0, lines[i] == 7)
+			m.Waiters = int(lines[i] % 5)
+		}
+		// Two extra misses, freed in random order.
+		f.Alloc(1000, false, false)
+		f.Alloc(2, false, false)
+		if rng.IntN(2) == 0 {
+			f.Free(1000)
+			f.Free(2)
+		} else {
+			f.Free(2)
+			f.Free(1000)
+		}
+		var e ckpt.Enc
+		f.SaveState(&e)
+		if trial == 0 {
+			want = e.Bytes()
+			continue
+		}
+		if !bytes.Equal(e.Bytes(), want) {
+			t.Fatalf("trial %d: SaveState bytes depend on allocation order", trial)
+		}
+	}
+	g := NewMSHRFile(8)
+	d := ckpt.NewDec(want)
+	g.LoadState(d)
+	if d.Err() != nil || g.Len() != len(lines) {
+		t.Fatalf("round trip: err %v, %d entries", d.Err(), g.Len())
+	}
+	if m, ok := g.Get(1 << 33); !ok || !m.IsWrite || m.Instr || m.Waiters != int((1<<33)%5) {
+		t.Fatalf("restored MSHR %+v, %v", m, ok)
+	}
+}
+
+func TestMSHRLoadStateRejects(t *testing.T) {
+	entry := func(e *ckpt.Enc, line uint64) {
+		e.U64(line)
+		e.Bool(false)
+		e.Bool(false)
+		e.Bool(false)
+		e.Bool(false)
+		e.Int(0)
+	}
+	var dup, over ckpt.Enc
+	dup.U64(2)
+	entry(&dup, 5)
+	entry(&dup, 5)
+	over.U64(3)
+	for line := uint64(0); line < 3; line++ {
+		entry(&over, line)
+	}
+	for name, payload := range map[string][]byte{"duplicate": dup.Bytes(), "over capacity": over.Bytes()} {
+		d := ckpt.NewDec(payload)
+		NewMSHRFile(2).LoadState(d)
+		if d.Err() == nil {
+			t.Errorf("LoadState accepted a %s file", name)
+		}
+	}
 }

@@ -1,10 +1,6 @@
 package cache
 
-import (
-	"sort"
-
-	"nocout/internal/ckpt"
-)
+import "nocout/internal/ckpt"
 
 // Checkpoint serialization of the storage arrays. Geometry (sets, ways,
 // hashing) is structural — the restoring chip rebuilds it from config —
@@ -22,37 +18,32 @@ func (a *Array) SaveState(e *ckpt.Enc) {
 }
 
 // LoadState implements ckpt.Loader. The array must have been built with
-// the donor's geometry; a mismatched line count is corruption.
+// the donor's geometry; a mismatched line count is corruption. The arrays
+// are decoded in place.
 func (a *Array) LoadState(d *ckpt.Dec) {
-	tags := d.U64s()
-	valid := d.Bools()
-	age := d.U64s()
-	clock := d.U64()
-	if d.Err() != nil {
-		return
-	}
-	if len(tags) != len(a.tags) || len(valid) != len(a.valid) || len(age) != len(a.age) {
-		d.Corrupt("cache array geometry mismatch: stored %d/%d/%d lines, built %d", len(tags), len(valid), len(age), len(a.tags))
-		return
-	}
-	copy(a.tags, tags)
-	copy(a.valid, valid)
-	copy(a.age, age)
-	a.clock = clock
+	ckpt.U64sInto(d, a.tags)
+	d.BoolsInto(a.valid)
+	ckpt.U64sInto(d, a.age)
+	a.clock = d.U64()
 }
 
 // SaveState implements ckpt.Saver: outstanding misses in ascending line
-// order, so the encoding is independent of map iteration order.
+// order, so the encoding is independent of allocation and free order. The
+// file is small, so each next entry is found by a scan rather than sorting
+// the live entries in place.
 func (f *MSHRFile) SaveState(e *ckpt.Enc) {
-	lines := make([]uint64, 0, len(f.m))
-	for line := range f.m {
-		lines = append(lines, line)
-	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-	e.U64(uint64(len(lines)))
-	for _, line := range lines {
-		m := f.m[line]
-		e.U64(line)
+	e.U64(uint64(f.n))
+	var last uint64
+	for k := 0; k < f.n; k++ {
+		next := -1
+		for i, m := range f.ents[:f.n] {
+			if (k == 0 || m.Line > last) && (next < 0 || m.Line < f.ents[next].Line) {
+				next = i
+			}
+		}
+		m := &f.ents[next]
+		last = m.Line
+		e.U64(m.Line)
 		e.Bool(m.IsWrite)
 		e.Bool(m.Instr)
 		e.Bool(m.Issued)
@@ -68,13 +59,13 @@ func (f *MSHRFile) LoadState(d *ckpt.Dec) {
 	if d.Err() != nil {
 		return
 	}
-	if n > f.cap {
-		d.Corrupt("MSHR occupancy %d exceeds capacity %d", n, f.cap)
+	if n > len(f.ents) {
+		d.Corrupt("MSHR occupancy %d exceeds capacity %d", n, len(f.ents))
 		return
 	}
-	clear(f.m)
+	f.n = 0
 	for i := 0; i < n && d.Err() == nil; i++ {
-		m := &MSHR{
+		m := MSHR{
 			Line:     d.U64(),
 			IsWrite:  d.Bool(),
 			Instr:    d.Bool(),
@@ -82,10 +73,11 @@ func (f *MSHRFile) LoadState(d *ckpt.Dec) {
 			Squashed: d.Bool(),
 		}
 		m.Waiters = d.Int()
-		if _, dup := f.m[m.Line]; dup {
+		if f.find(m.Line) >= 0 {
 			d.Corrupt("duplicate MSHR line %#x", m.Line)
 			return
 		}
-		f.m[m.Line] = m
+		f.ents[f.n] = m
+		f.n++
 	}
 }

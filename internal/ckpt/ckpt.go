@@ -285,34 +285,81 @@ func (d *Dec) U64s() []uint64 {
 		return nil
 	}
 	vs := make([]uint64, n)
-	prev := uint64(0)
-	for i := range vs {
-		prev += uint64(d.I64())
-		vs[i] = prev
-	}
+	deltas(d, vs)
 	if d.err != nil {
 		return nil
 	}
 	return vs
 }
 
+// U64sInto reads an array written by Enc.U64s straight into dst, whose
+// length must equal the stored count; a mismatch is corruption. Element
+// types narrower than 64 bits take the low bits of each value, so a
+// []int32 restores values saved as uint64(uint32(v)). It is a function
+// rather than a method because Go methods cannot take type parameters.
+// On error dst may be partly overwritten.
+func U64sInto[T ~uint64 | ~int32](d *Dec, dst []T) {
+	if n := d.Count(); d.err == nil && n != len(dst) {
+		d.fail("array of %d elements, built %d", n, len(dst))
+	}
+	deltas(d, dst)
+}
+
+// deltas decodes len(dst) zigzag deltas into dst.
+func deltas[T ~uint64 | ~int32](d *Dec, dst []T) {
+	if d.err != nil {
+		return
+	}
+	prev := uint64(0)
+	for i := range dst {
+		prev += uint64(d.I64())
+		dst[i] = T(prev)
+	}
+}
+
 // Bools reads a packed bitset written by Enc.Bools.
 func (d *Dec) Bools() []bool {
-	n := d.U64()
+	n := d.bitCount()
 	if d.err != nil {
 		return nil
 	}
-	nb := (n + 7) / 8
-	if nb > uint64(d.Remaining()) {
-		d.fail("bitset of %d bits exceeds %d remaining bytes", n, d.Remaining())
-		return nil
-	}
 	vs := make([]bool, n)
-	for i := range vs {
-		vs[i] = d.b[d.off+i/8]&(1<<(uint(i)%8)) != 0
-	}
-	d.off += int(nb)
+	d.bits(vs)
 	return vs
+}
+
+// BoolsInto reads a bitset written by Enc.Bools straight into dst, whose
+// length must equal the stored count; a mismatch is corruption.
+func (d *Dec) BoolsInto(dst []bool) {
+	if n := d.bitCount(); d.err == nil && n != len(dst) {
+		d.fail("bitset of %d bits, built %d", n, len(dst))
+	}
+	d.bits(dst)
+}
+
+// bitCount reads a bitset's length, validating its packed bytes against
+// the remaining input.
+func (d *Dec) bitCount() int {
+	n := d.U64()
+	if d.err != nil {
+		return 0
+	}
+	if (n+7)/8 > uint64(d.Remaining()) {
+		d.fail("bitset of %d bits exceeds %d remaining bytes", n, d.Remaining())
+		return 0
+	}
+	return int(n)
+}
+
+// bits unpacks len(dst) bits, whose bytes bitCount has validated.
+func (d *Dec) bits(dst []bool) {
+	if d.err != nil {
+		return
+	}
+	for i := range dst {
+		dst[i] = d.b[d.off+i/8]&(1<<(uint(i)%8)) != 0
+	}
+	d.off += (len(dst) + 7) / 8
 }
 
 // --- container --------------------------------------------------------------

@@ -124,6 +124,95 @@ func TestDecHostileLengths(t *testing.T) {
 	if d.Err() == nil {
 		t.Error("Bool accepted byte 7")
 	}
+
+	// The in-place decoders also reject a stored count that differs from
+	// the built slice, and a payload truncated mid-array. Each dst is the
+	// front of a larger sentinel-filled backing array, so a write past
+	// dst would show.
+	var e Enc
+	e.U64s([]uint64{5, 6, 7, 8})
+	u64s := e.Bytes()
+	e = Enc{}
+	e.Bools(make([]bool, 20))
+	bools := e.Bytes()
+	inputs := map[string][]byte{
+		"huge":      huge,
+		"truncated": u64s[:len(u64s)-1],
+	}
+	for name, in := range inputs {
+		for _, n := range []int{3, 4, 5} {
+			back := []uint64{1, 1, 1, 1, 1, 1, 1, 1}
+			d := NewDec(in)
+			U64sInto(d, back[:n])
+			if d.Err() == nil {
+				t.Errorf("U64sInto(%s) into %d elements accepted", name, n)
+			}
+			for i, v := range back[n:] {
+				if v != 1 {
+					t.Errorf("U64sInto(%s) wrote element %d past a %d-element dst", name, n+i, n)
+				}
+			}
+		}
+	}
+	for _, n := range []int{3, 5} {
+		back := []int32{1, 1, 1, 1, 1, 1, 1, 1}
+		d := NewDec(u64s)
+		U64sInto(d, back[:n])
+		if d.Err() == nil || back[n] != 1 {
+			t.Errorf("U64sInto: 4 stored elements into a %d-element []int32: err %v, past dst %d", n, d.Err(), back[n])
+		}
+	}
+	inputs = map[string][]byte{
+		"huge":      huge,
+		"truncated": bools[:len(bools)-1],
+		"mismatch":  bools,
+	}
+	for name, in := range inputs {
+		back := make([]bool, 40)
+		back[19] = true
+		d := NewDec(in)
+		d.BoolsInto(back[:19])
+		if d.Err() == nil {
+			t.Errorf("BoolsInto(%s) into 19 bits accepted", name)
+		}
+		if !back[19] {
+			t.Errorf("BoolsInto(%s) wrote past a 19-bit dst", name)
+		}
+	}
+}
+
+// TestDecodeInPlace checks that the in-place decoders read exactly what
+// their allocating twins read, and that []int32 restores values saved
+// through uint32 (-1 as 0xffffffff).
+func TestDecodeInPlace(t *testing.T) {
+	owners := []int32{-1, 3, -1, 0, 63}
+	wide := make([]uint64, len(owners))
+	for i, o := range owners {
+		wide[i] = uint64(uint32(o))
+	}
+	bits := []bool{true, false, false, true, true, false, true, false, true}
+	var e Enc
+	e.U64s(wide)
+	e.Bools(bits)
+	e.U64s(nil)
+	d := NewDec(e.Bytes())
+	gotWide := make([]uint64, len(wide))
+	U64sInto(d, gotWide)
+	gotBits := make([]bool, len(bits))
+	d.BoolsInto(gotBits)
+	U64sInto(d, []uint64{})
+	if d.Err() != nil || d.Remaining() != 0 {
+		t.Fatalf("in-place decode: err %v, %d bytes left", d.Err(), d.Remaining())
+	}
+	if !reflect.DeepEqual(gotWide, wide) || !reflect.DeepEqual(gotBits, bits) {
+		t.Fatalf("in-place decode: %v %v, want %v %v", gotWide, gotBits, wide, bits)
+	}
+	d = NewDec(e.Bytes())
+	gotOwners := make([]int32, len(owners))
+	U64sInto(d, gotOwners)
+	if d.Err() != nil || !reflect.DeepEqual(gotOwners, owners) {
+		t.Fatalf("int32 decode: %v (err %v), want %v", gotOwners, d.Err(), owners)
+	}
 }
 
 func TestCorruptReportsFirstFailure(t *testing.T) {

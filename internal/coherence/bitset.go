@@ -2,13 +2,12 @@ package coherence
 
 import "math/bits"
 
-// Bitset is a fixed-capacity sharer set (full-map directory vector).
+// Bitset is a fixed-capacity sharer set (full-map directory vector). It is
+// a view over words owned elsewhere — a bank keeps every line's vector in
+// one flat slice — so making one allocates nothing.
 type Bitset struct {
 	w []uint64
 }
-
-// NewBitset returns a set able to hold ids in [0, n).
-func NewBitset(n int) Bitset { return Bitset{w: make([]uint64, (n+63)/64)} }
 
 // Set adds id.
 func (b Bitset) Set(id int) { b.w[id/64] |= 1 << (uint(id) % 64) }

@@ -336,21 +336,12 @@ func (l *L1) StateOf(line uint64) (LineState, bool) {
 }
 
 // PrewarmData functionally installs line into the L1-D in state st
-// (warmed-checkpoint methodology; call before simulation starts).
+// (warmed-checkpoint methodology; call before simulation starts), evicting
+// the LRU line if the set is full.
 func (l *L1) PrewarmData(line uint64, st LineState) {
-	if slot, hit := l.dArr.Probe(line); hit {
-		l.dState[slot] = st
-		return
+	slot, _ := l.dArr.Place(line)
+	if slot < 0 {
+		slot, _, _ = l.dArr.Insert(line)
 	}
-	slot, _, _ := l.dArr.Insert(line)
 	l.dState[slot] = st
-}
-
-// PrewarmInstr functionally installs line into the L1-I (state S).
-func (l *L1) PrewarmInstr(line uint64) {
-	if _, hit := l.iArr.Probe(line); hit {
-		return
-	}
-	slot, _, _ := l.iArr.Insert(line)
-	l.iState[slot] = StateS
 }

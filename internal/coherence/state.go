@@ -133,12 +133,7 @@ func loadTrans(d *ckpt.Dec) *trans {
 // map round-trips exactly. The freeTr recycling pool is not state.
 func (b *Bank) SaveState(e *ckpt.Enc) {
 	b.arr.SaveState(e)
-	// Directory vectors, flattened: all per-line bitsets share one width.
-	words := make([]uint64, 0, len(b.sharers)*len(b.sharers[0].w))
-	for _, s := range b.sharers {
-		words = append(words, s.w...)
-	}
-	e.U64s(words)
+	e.U64s(b.sharers)
 	owners := make([]uint64, len(b.owner))
 	for i, o := range b.owner {
 		owners[i] = uint64(uint32(o))
@@ -167,31 +162,28 @@ func (b *Bank) SaveState(e *ckpt.Enc) {
 // LoadState implements ckpt.Loader.
 func (b *Bank) LoadState(d *ckpt.Dec) {
 	b.arr.LoadState(d)
-	words := d.U64s()
+	ckpt.U64sInto(d, b.sharers)
+	ckpt.U64sInto(d, b.owner)
+	d.BoolsInto(b.dirty)
 	if d.Err() != nil {
 		return
 	}
-	per := len(b.sharers[0].w)
-	if len(words) != len(b.sharers)*per {
-		d.Corrupt("directory vector length %d, built %d", len(words), len(b.sharers)*per)
-		return
+	// A directory naming a core the chip does not have would panic or
+	// misroute on the first forward or invalidation.
+	for slot, o := range b.owner {
+		if o < -1 || int(o) >= b.numCores {
+			d.Corrupt("line slot %d owned by core %d of %d", slot, o, b.numCores)
+			return
+		}
 	}
-	for i := range b.sharers {
-		copy(b.sharers[i].w, words[i*per:(i+1)*per])
+	if r := b.numCores % 64; r != 0 {
+		for i := b.words - 1; i < len(b.sharers); i += b.words {
+			if b.sharers[i]>>r != 0 {
+				d.Corrupt("line slot %d shared by a core beyond %d", i/b.words, b.numCores)
+				return
+			}
+		}
 	}
-	owners := d.U64s()
-	dirty := d.Bools()
-	if d.Err() != nil {
-		return
-	}
-	if len(owners) != len(b.owner) || len(dirty) != len(b.dirty) {
-		d.Corrupt("owner/dirty length %d/%d, built %d", len(owners), len(dirty), len(b.owner))
-		return
-	}
-	for i, o := range owners {
-		b.owner[i] = int32(uint32(o))
-	}
-	copy(b.dirty, dirty)
 
 	clear(b.busy)
 	n := d.Count()

@@ -155,6 +155,23 @@ func BenchmarkKernelSteadyState(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(chunk)*int64(b.N)), "ns/simcycle")
 }
 
+// BenchmarkChipBuild measures what every cold point pays before its first
+// simulated cycle: building the 64-core NOC-Out chip (Data Serving) and
+// prewarming its caches. allocs/op and B/op track the memory hierarchy's
+// construction cost — the LLC directory and tag arrays dominate them.
+func BenchmarkChipBuild(b *testing.B) {
+	w, err := workload.Parse("Data Serving")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := DefaultConfig(NOCOut)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		c := chip.New(cfg, w)
+		c.PrewarmCaches()
+	}
+}
+
 // BenchmarkKernelSpeedup reports the naive/scheduled wall-clock ratio on
 // the low-injection configuration in one number (the acceptance metric).
 func BenchmarkKernelSpeedup(b *testing.B) {
