@@ -4,6 +4,7 @@ import (
 	"nocout/internal/chip"
 	"nocout/internal/noc"
 	"nocout/internal/physic"
+	"nocout/internal/registry"
 	"nocout/internal/topo"
 )
 
@@ -25,18 +26,10 @@ import (
 // The extended organizations' Design handles, minted at package init in
 // this order (after the builtin four).
 var (
-	Torus    = mustRegister(torusOrg{})
-	CMesh    = mustRegister(cmeshOrg{})
-	Crossbar = mustRegister(crossbarOrg{})
+	Torus    = registry.Must(RegisterDesign(torusOrg{}))
+	CMesh    = registry.Must(RegisterDesign(cmeshOrg{}))
+	Crossbar = registry.Must(RegisterDesign(crossbarOrg{}))
 )
-
-func mustRegister(o Organization) Design {
-	d, err := RegisterDesign(o)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
 
 // --- Torus ------------------------------------------------------------------
 

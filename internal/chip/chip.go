@@ -17,6 +17,7 @@ import (
 	"nocout/internal/cpu"
 	"nocout/internal/mem"
 	"nocout/internal/noc"
+	"nocout/internal/registry"
 	"nocout/internal/sim"
 	"nocout/internal/topo"
 	"nocout/internal/workload"
@@ -70,10 +71,7 @@ func Table1Config() Config {
 // DefaultConfig returns a design's default system (Table 1 for the paper's
 // organizations). Unregistered designs are a hard error.
 func DefaultConfig(d Design) Config {
-	org, err := OrganizationOf(d)
-	if err != nil {
-		panic(err)
-	}
+	org := registry.Must(OrganizationOf(d))
 	cfg := org.DefaultConfig()
 	cfg.Design = d
 	return cfg
@@ -126,14 +124,8 @@ func New(cfg Config, w workload.Workload) *Chip {
 		cfg.BanksPerLLCTile = 2
 	}
 	cfg.Mem = cfg.Mem.WithDefaults()
-	org, err := OrganizationOf(cfg.Design)
-	if err != nil {
-		panic(err)
-	}
-	hier, err := HierarchyOf(cfg.Hierarchy)
-	if err != nil {
-		panic(err)
-	}
+	org := registry.Must(OrganizationOf(cfg.Design))
+	hier := registry.Must(HierarchyOf(cfg.Hierarchy))
 	c := &Chip{Cfg: cfg, Workload: w}
 	fab := org.Build(cfg)
 	c.Fabric = fab

@@ -2,13 +2,12 @@ package chip
 
 import (
 	"fmt"
-	"strings"
-	"sync"
 
 	"nocout/internal/coherence"
 	"nocout/internal/mem"
 	"nocout/internal/noc"
 	"nocout/internal/physic"
+	"nocout/internal/registry"
 	"nocout/internal/workload"
 )
 
@@ -44,12 +43,10 @@ const SharedNUCA HierarchyID = 0
 // JSON reports. Implementations must be stateless: Build and Physical are
 // called concurrently from experiment worker pools.
 type Hierarchy interface {
-	// Name is the display name ("SharedNUCA", "PrivateLLC"); it is how
-	// the hierarchy prints, marshals, and is primarily parsed.
-	Name() string
-	// Aliases lists extra (lowercase) CLI spellings; the lowercased Name
-	// is always accepted and need not be repeated.
-	Aliases() []string
+	// Entry is the display name ("SharedNUCA", "PrivateLLC"), how the
+	// hierarchy prints, marshals and is primarily parsed, plus its CLI
+	// aliases.
+	registry.Entry
 	// DefaultConfig applies the hierarchy's preferred tuning to a base
 	// chip configuration (e.g. the cluster size for a clustered LLC);
 	// hierarchies with no tuning of their own return base unchanged.
@@ -111,118 +108,39 @@ func (p HierPhysical) String() string {
 		p.StorageMM2, p.DirMM2, p.TotalMM2(), p.LeakageW)
 }
 
-// The hierarchy registry. Registration is rare and reads are hot (every
-// chip build, String, and ParseHierarchy), so it is guarded by a RWMutex
-// and safe for concurrent use from experiment worker pools.
-var (
-	hierMu      sync.RWMutex
-	hiers       []Hierarchy
-	hierAliases = map[string]HierarchyID{}
-)
+// hiers is the hierarchy registry; SharedNUCA registers at init as
+// handle 0.
+var hiers = registry.New[HierarchyID, Hierarchy]("chip", "hierarchy")
 
-func init() {
-	if _, err := RegisterHierarchy(sharedNUCA{}); err != nil {
-		panic(err)
-	}
-}
+func init() { registry.Must(RegisterHierarchy(sharedNUCA{})) }
 
 // RegisterHierarchy adds a hierarchy to the registry and returns its
 // HierarchyID handle. The name and aliases must be non-empty and unique
 // (case-insensitively) across the registry.
-func RegisterHierarchy(h Hierarchy) (HierarchyID, error) {
-	name := strings.TrimSpace(h.Name())
-	if name == "" {
-		return 0, fmt.Errorf("chip: RegisterHierarchy needs a name")
-	}
-	keys := []string{strings.ToLower(name)}
-	for _, a := range h.Aliases() {
-		a = strings.ToLower(strings.TrimSpace(a))
-		if a == "" {
-			return 0, fmt.Errorf("chip: hierarchy %q has an empty alias", name)
-		}
-		if a != keys[0] {
-			keys = append(keys, a)
-		}
-	}
-	hierMu.Lock()
-	defer hierMu.Unlock()
-	if len(hiers) >= 256 {
-		return 0, fmt.Errorf("chip: hierarchy registry full")
-	}
-	for _, k := range keys {
-		// The write lock is held: read the owner's name directly rather
-		// than through HierarchyID.String, which would re-enter the lock.
-		if id, dup := hierAliases[k]; dup {
-			return 0, fmt.Errorf("chip: hierarchy name %q already registered by %s", k, hiers[id].Name())
-		}
-	}
-	id := HierarchyID(len(hiers))
-	hiers = append(hiers, h)
-	for _, k := range keys {
-		hierAliases[k] = id
-	}
-	return id, nil
-}
+func RegisterHierarchy(h Hierarchy) (HierarchyID, error) { return hiers.Register(h) }
 
 // HierarchyOf resolves a HierarchyID to its registered hierarchy; unknown
 // hierarchies are a hard error.
-func HierarchyOf(id HierarchyID) (Hierarchy, error) {
-	hierMu.RLock()
-	defer hierMu.RUnlock()
-	if int(id) >= len(hiers) {
-		return nil, fmt.Errorf("chip: hierarchy %d is not registered", uint8(id))
-	}
-	return hiers[id], nil
-}
+func HierarchyOf(id HierarchyID) (Hierarchy, error) { return hiers.Get(id) }
 
-// Hierarchies returns every registered hierarchy in HierarchyID order.
-func Hierarchies() []Hierarchy {
-	hierMu.RLock()
-	defer hierMu.RUnlock()
-	out := make([]Hierarchy, len(hiers))
-	copy(out, hiers)
-	return out
-}
+// Hierarchies returns every registered hierarchy handle in registration
+// order.
+func Hierarchies() []HierarchyID { return hiers.Handles() }
 
 // String returns the hierarchy's display name.
-func (id HierarchyID) String() string {
-	if h, err := HierarchyOf(id); err == nil {
-		return h.Name()
-	}
-	return fmt.Sprintf("Hierarchy(%d)", uint8(id))
-}
+func (id HierarchyID) String() string { return hiers.Name(id) }
 
 // ParseHierarchy resolves a hierarchy from any registered spelling, the
 // display names and the CLI shorthands, case-insensitively
 // (shared-nuca | nuca-xor | private | clustered | ...).
-func ParseHierarchy(s string) (HierarchyID, error) {
-	key := strings.ToLower(strings.TrimSpace(s))
-	hierMu.RLock()
-	id, ok := hierAliases[key]
-	hierMu.RUnlock()
-	if !ok {
-		var names []string
-		for _, h := range Hierarchies() {
-			names = append(names, strings.ToLower(h.Name()))
-		}
-		return 0, fmt.Errorf("chip: unknown hierarchy %q (want %s)", s, strings.Join(names, " | "))
-	}
-	return id, nil
-}
+func ParseHierarchy(s string) (HierarchyID, error) { return hiers.Parse(s) }
 
 // MarshalText encodes the hierarchy by name, so JSON reports read
 // "PrivateLLC" instead of an opaque enum value.
 func (id HierarchyID) MarshalText() ([]byte, error) { return []byte(id.String()), nil }
 
 // UnmarshalText decodes any spelling ParseHierarchy accepts.
-func (id *HierarchyID) UnmarshalText(b []byte) error {
-	v, err := ParseHierarchy(string(b))
-	if err != nil {
-		return err
-	}
-	*id = v
-	return nil
-}
+func (id *HierarchyID) UnmarshalText(b []byte) error { return hiers.Unmarshal(id, b) }
 
 // FitWays shrinks a requested associativity until capacityBytes of
 // storage yields a power-of-two set count (cache.NewArray's invariant),

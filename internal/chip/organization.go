@@ -1,15 +1,13 @@
 package chip
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"strings"
-	"sync"
 
 	"nocout/internal/core"
 	"nocout/internal/noc"
 	"nocout/internal/physic"
+	"nocout/internal/registry"
 	"nocout/internal/topo"
 )
 
@@ -35,12 +33,9 @@ const (
 // Implementations must be stateless: Build and AreaModel are called
 // concurrently from experiment worker pools.
 type Organization interface {
-	// Name is the figure name ("Mesh", "NOC-Out"); it is how the design
-	// prints, marshals, and is primarily parsed.
-	Name() string
-	// Aliases lists extra (lowercase) CLI spellings; the lowercased Name
-	// is always accepted and need not be repeated.
-	Aliases() []string
+	// Entry is the figure name ("Mesh", "NOC-Out"), how the design
+	// prints, marshals and is primarily parsed, plus its CLI aliases.
+	registry.Entry
 	// DefaultConfig returns the organization's baseline chip parameters
 	// (the paper's Table 1 system); the registry fills in Config.Design.
 	DefaultConfig() Config
@@ -76,121 +71,43 @@ type Fabric struct {
 	NocNet *core.Network
 }
 
-// The registry. Registration is rare and reads are hot (every chip build,
-// String, and ParseDesign), so it is guarded by a RWMutex and safe for
-// concurrent use from experiment worker pools.
-var (
-	orgMu      sync.RWMutex
-	orgs       []Organization
-	orgAliases = map[string]Design{}
-)
+// orgs is the design registry; the builtin four register at init in
+// Design order.
+var orgs = registry.New[Design, Organization]("chip", "design")
 
 func init() {
 	for _, o := range []Organization{meshOrg{}, fbflyOrg{}, nocoutOrg{}, idealOrg{}} {
-		if _, err := RegisterOrganization(o); err != nil {
-			panic(err)
-		}
+		registry.Must(RegisterOrganization(o))
 	}
 }
 
 // RegisterOrganization adds an organization to the design registry and
 // returns its Design handle. The name and aliases must be non-empty and
 // unique (case-insensitively) across the registry.
-func RegisterOrganization(o Organization) (Design, error) {
-	name := strings.TrimSpace(o.Name())
-	if name == "" {
-		return 0, fmt.Errorf("chip: RegisterOrganization needs a name")
-	}
-	keys := []string{strings.ToLower(name)}
-	for _, a := range o.Aliases() {
-		a = strings.ToLower(strings.TrimSpace(a))
-		if a == "" {
-			return 0, fmt.Errorf("chip: organization %q has an empty alias", name)
-		}
-		if a != keys[0] {
-			keys = append(keys, a)
-		}
-	}
-	orgMu.Lock()
-	defer orgMu.Unlock()
-	if len(orgs) >= 256 {
-		return 0, fmt.Errorf("chip: design registry full")
-	}
-	for _, k := range keys {
-		// The write lock is held: read the owner's name directly rather
-		// than through Design.String, which would re-enter the lock.
-		if d, dup := orgAliases[k]; dup {
-			return 0, fmt.Errorf("chip: design name %q already registered by %s", k, orgs[d].Name())
-		}
-	}
-	d := Design(len(orgs))
-	orgs = append(orgs, o)
-	for _, k := range keys {
-		orgAliases[k] = d
-	}
-	return d, nil
-}
+func RegisterOrganization(o Organization) (Design, error) { return orgs.Register(o) }
 
 // OrganizationOf resolves a Design handle to its registered organization;
 // unknown designs are a hard error.
-func OrganizationOf(d Design) (Organization, error) {
-	orgMu.RLock()
-	defer orgMu.RUnlock()
-	if int(d) >= len(orgs) {
-		return nil, fmt.Errorf("chip: design %d is not registered", uint8(d))
-	}
-	return orgs[d], nil
-}
+func OrganizationOf(d Design) (Organization, error) { return orgs.Get(d) }
 
-// Organizations returns every registered organization in Design order.
-func Organizations() []Organization {
-	orgMu.RLock()
-	defer orgMu.RUnlock()
-	out := make([]Organization, len(orgs))
-	copy(out, orgs)
-	return out
-}
+// Designs returns every registered design handle in registration order.
+func Designs() []Design { return orgs.Handles() }
 
 // String returns the design name as used in the paper's figures.
-func (d Design) String() string {
-	if org, err := OrganizationOf(d); err == nil {
-		return org.Name()
-	}
-	return fmt.Sprintf("Design(%d)", uint8(d))
-}
+func (d Design) String() string { return orgs.Name(d) }
 
 // ParseDesign resolves a design from any registered spelling: the figure
 // names ("Mesh", "Flattened Butterfly", case-insensitively) and the CLI
 // shorthands (mesh | fbfly | nocout | ideal | torus | cmesh | crossbar |
 // ...).
-func ParseDesign(s string) (Design, error) {
-	key := strings.ToLower(strings.TrimSpace(s))
-	orgMu.RLock()
-	d, ok := orgAliases[key]
-	orgMu.RUnlock()
-	if !ok {
-		var names []string
-		for _, o := range Organizations() {
-			names = append(names, strings.ToLower(o.Name()))
-		}
-		return 0, fmt.Errorf("chip: unknown design %q (want %s)", s, strings.Join(names, " | "))
-	}
-	return d, nil
-}
+func ParseDesign(s string) (Design, error) { return orgs.Parse(s) }
 
 // MarshalText encodes the design by name, so JSON reports read
 // "NOC-Out" instead of an opaque enum value.
 func (d Design) MarshalText() ([]byte, error) { return []byte(d.String()), nil }
 
 // UnmarshalText decodes any spelling ParseDesign accepts.
-func (d *Design) UnmarshalText(b []byte) error {
-	v, err := ParseDesign(string(b))
-	if err != nil {
-		return err
-	}
-	*d = v
-	return nil
-}
+func (d *Design) UnmarshalText(b []byte) error { return orgs.Unmarshal(d, b) }
 
 // TiledFabric lays out the standard tiled CMP attachment over a built
 // network: one core, LLC slice, and NI per tile (NodeID = tile index),

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"nocout/internal/physic"
+	"nocout/internal/registry"
 )
 
 // stubOrg is a registrable organization that reuses the mesh's behaviour.
@@ -24,23 +25,20 @@ func (s stubOrg) AreaModel(cfg Config) (physic.Breakdown, physic.BufferKind) {
 	return meshOrg{}.AreaModel(cfg)
 }
 
-// resetRegistry snapshots the global registry and restores it on cleanup,
-// so registration tests cannot leak designs into other tests.
+// resetRegistry swaps in a copy of the global registry, rebuilt in
+// registration order so every handle is unchanged, and restores the
+// original on cleanup, so registration tests cannot leak designs into
+// other tests.
 func resetRegistry(t *testing.T) {
 	t.Helper()
-	orgMu.Lock()
-	savedOrgs := append([]Organization(nil), orgs...)
-	savedAliases := map[string]Design{}
-	for k, v := range orgAliases {
-		savedAliases[k] = v
+	saved := orgs
+	orgs = registry.New[Design, Organization]("chip", "design")
+	for _, o := range saved.All() {
+		if _, err := orgs.Register(o); err != nil {
+			t.Fatal(err)
+		}
 	}
-	orgMu.Unlock()
-	t.Cleanup(func() {
-		orgMu.Lock()
-		orgs = savedOrgs
-		orgAliases = savedAliases
-		orgMu.Unlock()
-	})
+	t.Cleanup(func() { orgs = saved })
 }
 
 func TestRegisterOrganization(t *testing.T) {
@@ -120,7 +118,7 @@ func TestRegistryConcurrentUse(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				_ = Organizations()
+				_ = Designs()
 			}
 		}()
 	}

@@ -126,12 +126,22 @@ func (e *Enc) String(s string) {
 // element as a zigzag varint of its delta from the predecessor (first
 // delta is from zero). Sorted or clustered arrays — cache tags, LRU age
 // stamps, sorted map keys — compress to a byte or two per element.
-func (e *Enc) U64s(vs []uint64) {
+func (e *Enc) U64s(vs []uint64) { U64sFrom(e, vs) }
+
+// U64sFrom is Enc.U64s for any element type U64sInto restores, with no
+// widened copy: an []int32 element is written as uint64(uint32(v)), the
+// bytes Enc.U64s writes for that widening.
+func U64sFrom[T ~uint64 | ~int32](e *Enc, vs []T) {
+	mask := ^uint64(0)
+	if ^T(0) < 0 { // int32: keep the low 32 bits, as U64sInto truncates
+		mask = math.MaxUint32
+	}
 	e.U64(uint64(len(vs)))
 	prev := uint64(0)
 	for _, v := range vs {
-		e.I64(int64(v - prev))
-		prev = v
+		u := uint64(v) & mask
+		e.I64(int64(u - prev))
+		prev = u
 	}
 }
 
@@ -295,7 +305,7 @@ func (d *Dec) U64s() []uint64 {
 // U64sInto reads an array written by Enc.U64s straight into dst, whose
 // length must equal the stored count; a mismatch is corruption. Element
 // types narrower than 64 bits take the low bits of each value, so a
-// []int32 restores values saved as uint64(uint32(v)). It is a function
+// []int32 restores what U64sFrom saved from one. It is a function
 // rather than a method because Go methods cannot take type parameters.
 // On error dst may be partly overwritten.
 func U64sInto[T ~uint64 | ~int32](d *Dec, dst []T) {

@@ -182,8 +182,9 @@ func TestDecHostileLengths(t *testing.T) {
 }
 
 // TestDecodeInPlace checks that the in-place decoders read exactly what
-// their allocating twins read, and that []int32 restores values saved
-// through uint32 (-1 as 0xffffffff).
+// their allocating twins read, that []int32 restores values saved
+// through uint32 (-1 as 0xffffffff), and that U64sFrom writes an []int32
+// byte for byte as U64s writes that widening.
 func TestDecodeInPlace(t *testing.T) {
 	owners := []int32{-1, 3, -1, 0, 63}
 	wide := make([]uint64, len(owners))
@@ -212,6 +213,18 @@ func TestDecodeInPlace(t *testing.T) {
 	U64sInto(d, gotOwners)
 	if d.Err() != nil || !reflect.DeepEqual(gotOwners, owners) {
 		t.Fatalf("int32 decode: %v (err %v), want %v", gotOwners, d.Err(), owners)
+	}
+
+	edges := append(owners, math.MinInt32, math.MaxInt32, -2)
+	var direct, widened Enc
+	U64sFrom(&direct, edges)
+	wideEdges := make([]uint64, len(edges))
+	for i, o := range edges {
+		wideEdges[i] = uint64(uint32(o))
+	}
+	widened.U64s(wideEdges)
+	if !bytes.Equal(direct.Bytes(), widened.Bytes()) {
+		t.Fatalf("U64sFrom(%v) = % x, U64s of its widening = % x", edges, direct.Bytes(), widened.Bytes())
 	}
 }
 

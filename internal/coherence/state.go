@@ -134,11 +134,7 @@ func loadTrans(d *ckpt.Dec) *trans {
 func (b *Bank) SaveState(e *ckpt.Enc) {
 	b.arr.SaveState(e)
 	e.U64s(b.sharers)
-	owners := make([]uint64, len(b.owner))
-	for i, o := range b.owner {
-		owners[i] = uint64(uint32(o))
-	}
-	e.U64s(owners)
+	ckpt.U64sFrom(e, b.owner)
 	e.Bools(b.dirty)
 
 	lines := make([]uint64, 0, len(b.busy))

@@ -19,10 +19,10 @@ func TestRouteMemoMatchesRouteFunc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, org := range chip.Organizations() {
-		cfg := chip.DefaultConfig(chip.Design(i))
+	for _, d := range chip.Designs() {
+		cfg := chip.DefaultConfig(d)
 		cfg.Cores = 16
-		t.Run(org.Name(), func(t *testing.T) {
+		t.Run(d.String(), func(t *testing.T) {
 			c := chip.New(cfg, w)
 			c.PrewarmCaches()
 			c.Warmup(1000)

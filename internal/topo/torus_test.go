@@ -64,7 +64,7 @@ func TestTorusSaturationNoDeadlock(t *testing.T) {
 	}
 	// 8 packets/cycle of 5-flit traffic network-wide (40 flits/cy against
 	// 64 one-flit/cycle injection ports) is deep saturation.
-	lp := noc.MeasureLoad(tor, nodes, noc.UniformPattern(nodes, 5), 8.0, 2000, 20000, 7)
+	lp := noc.MeasureLoad(tor, nodes, uniformPattern(nodes, 5), 8.0, 2000, 20000, 7)
 	if !lp.Saturated {
 		t.Fatalf("offered 8 pkt/cy should saturate: %+v", lp)
 	}
@@ -72,6 +72,19 @@ func TestTorusSaturationNoDeadlock(t *testing.T) {
 	// bubble flow control must keep the rings draining.
 	if lp.AcceptedPktPerCycle < 0.5 {
 		t.Fatalf("saturated torus wedged: accepted %.3f pkt/cy", lp.AcceptedPktPerCycle)
+	}
+}
+
+// uniformPattern is uniform-random traffic among nodes: a random source
+// sends size-flit packets to a different random destination.
+func uniformPattern(nodes []noc.NodeID, size int) noc.Pattern {
+	return func(r *sim.RNG) (noc.NodeID, noc.NodeID, int) {
+		s := nodes[r.Intn(len(nodes))]
+		d := nodes[r.Intn(len(nodes))]
+		for d == s {
+			d = nodes[r.Intn(len(nodes))]
+		}
+		return s, d, size
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"nocout/internal/cpu"
+	"nocout/internal/registry"
 )
 
 // This file defines the behavioral workload API. A Workload is a
@@ -30,12 +31,9 @@ import (
 //     workload's ILP/MLP calibration with the seed threaded through;
 //   - Layout describes the regions the chip functionally prewarms.
 type Workload interface {
-	// Name is the workload's display name; it is how results report,
-	// JSON encodes, and the registry primarily resolves it.
-	Name() string
-	// Aliases lists extra (lowercase) CLI spellings; the lowercased Name
-	// is always accepted and need not be repeated.
-	Aliases() []string
+	// Entry is the display name, how results report, JSON encodes and
+	// the registry primarily resolves the workload, plus its CLI aliases.
+	registry.Entry
 	// MaxCores is the workload's software scalability limit (§5.3: Web
 	// Frontend and Web Search only scale to 16 cores).
 	MaxCores() int

@@ -3,19 +3,14 @@ package workload
 import (
 	"fmt"
 	"strings"
-	"sync"
+
+	"nocout/internal/registry"
 )
 
-// The workload registry, mirroring the chip package's Organization
-// registry: every string a CLI flag, sweep spec, or config file can carry
-// resolves here, case-insensitively and alias-aware. Registration is rare
-// and reads are hot (every Run and sweep expansion), so an RWMutex guards
-// it; safe for concurrent use from experiment worker pools.
-var (
-	regMu   sync.RWMutex
-	regList []Workload
-	regKeys = map[string]Workload{}
-)
+// workloads is the workload registry: every string a CLI flag, sweep
+// spec, or config file can carry resolves here, case-insensitively and
+// alias-aware. Workloads need no handle; theirs is the listing order.
+var workloads = registry.New[uint8, Workload]("workload", "workload")
 
 func init() {
 	// The paper's six, in figure order, with their common CLI spellings.
@@ -38,6 +33,13 @@ func init() {
 	// numbers.
 	mustRegister(ConsolidatedMix())
 	mustRegister(MapReducePhased())
+	registry.Must(schemes.Register(scheme{"trace", func(path string) (Workload, error) {
+		t, err := LoadTrace(path)
+		if err != nil {
+			return nil, err
+		}
+		return t, nil
+	}}))
 }
 
 // Register adds a workload to the registry so that every name-based entry
@@ -46,80 +48,44 @@ func init() {
 // contain ':' (reserved for schemes like "trace:<path>"). Safe for
 // concurrent use.
 func Register(w Workload) error {
-	name := strings.TrimSpace(w.Name())
-	if name == "" {
-		return fmt.Errorf("workload: Register needs a name")
-	}
-	keys := []string{strings.ToLower(name)}
-	for _, a := range w.Aliases() {
-		a = strings.ToLower(strings.TrimSpace(a))
-		if a == "" {
-			return fmt.Errorf("workload: %q has an empty alias", name)
-		}
-		if a != keys[0] {
-			keys = append(keys, a)
+	for _, s := range append([]string{w.Name()}, w.Aliases()...) {
+		if strings.Contains(s, ":") {
+			return fmt.Errorf("workload: name %q contains ':' (reserved for schemes)", registry.Key(s))
 		}
 	}
-	for _, k := range keys {
-		if strings.Contains(k, ":") {
-			return fmt.Errorf("workload: name %q contains ':' (reserved for schemes)", k)
-		}
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	for _, k := range keys {
-		if prev, dup := regKeys[k]; dup {
-			return fmt.Errorf("workload: name %q already registered by %s", k, prev.Name())
-		}
-	}
-	regList = append(regList, w)
-	for _, k := range keys {
-		regKeys[k] = w
-	}
-	return nil
+	_, err := workloads.Register(w)
+	return err
 }
 
 // mustRegister is Register for the package's own init-time registrations.
-func mustRegister(w Workload) Workload {
+func mustRegister(w Workload) {
 	if err := Register(w); err != nil {
 		panic(err)
 	}
-	return w
 }
 
 // All returns every registered workload: the paper's six in figure order,
 // then the example families, then user registrations in registration
 // order.
-func All() []Workload {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]Workload, len(regList))
-	copy(out, regList)
-	return out
-}
+func All() []Workload { return workloads.All() }
 
 // Names returns the registered workload names in registration order.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	names := make([]string, len(regList))
-	for i, w := range regList {
-		names[i] = w.Name()
-	}
-	return names
+func Names() []string { return workloads.Names() }
+
+// Workload name schemes: a scheme owns every name spelled
+// "<scheme>:<spec>" and parses the spec into a Workload. The builtin
+// "trace:<path>" loads a recorded trace file; the opensys package
+// registers "opensys:" through RegisterScheme.
+var schemes = registry.New[uint8, scheme]("workload", "scheme")
+
+// scheme is a registered name scheme and its spec parser.
+type scheme struct {
+	name  string
+	parse func(spec string) (Workload, error)
 }
 
-// TraceScheme prefixes a capture file path to form a workload name that
-// Parse resolves by loading the file: "trace:/path/to/ws.noctrace".
-const TraceScheme = "trace:"
-
-// Workload name schemes beyond the builtin "trace:": a scheme owns every
-// name spelled "<scheme>:<spec>" and parses the spec into a Workload.
-// The opensys package registers "opensys:" this way.
-var (
-	schemeMu sync.RWMutex
-	schemes  = map[string]func(spec string) (Workload, error){}
-)
+func (s scheme) Name() string      { return s.name }
+func (s scheme) Aliases() []string { return nil }
 
 // RegisterScheme adds a workload name scheme: Parse hands every
 // "<name>:<spec>" string to fn (spec is the part after the colon,
@@ -132,26 +98,11 @@ func RegisterScheme(name string, fn func(spec string) (Workload, error)) error {
 	if key == "" || strings.Contains(key, ":") {
 		return fmt.Errorf("workload: invalid scheme name %q", name)
 	}
-	if key == "trace" {
-		return fmt.Errorf("workload: scheme %q is builtin", key)
-	}
 	if fn == nil {
 		return fmt.Errorf("workload: scheme %q needs a parse function", key)
 	}
-	schemeMu.Lock()
-	defer schemeMu.Unlock()
-	if _, dup := schemes[key]; dup {
-		return fmt.Errorf("workload: scheme %q already registered", key)
-	}
-	schemes[key] = fn
-	return nil
-}
-
-// MustRegisterScheme is RegisterScheme for init-time registrations.
-func MustRegisterScheme(name string, fn func(spec string) (Workload, error)) {
-	if err := RegisterScheme(name, fn); err != nil {
-		panic(err)
-	}
+	_, err := schemes.Register(scheme{key, fn})
+	return err
 }
 
 // Parse resolves a workload from any registered spelling — names and
@@ -161,25 +112,13 @@ func MustRegisterScheme(name string, fn func(spec string) (Workload, error)) {
 // "opensys:arrival=poisson,...").
 func Parse(s string) (Workload, error) {
 	trimmed := strings.TrimSpace(s)
-	if strings.HasPrefix(strings.ToLower(trimmed), TraceScheme) {
-		t, err := LoadTrace(trimmed[len(TraceScheme):])
-		if err != nil {
-			return nil, err
-		}
-		return t, nil
-	}
-	if i := strings.IndexByte(trimmed, ':'); i > 0 {
-		schemeMu.RLock()
-		fn := schemes[strings.ToLower(trimmed[:i])]
-		schemeMu.RUnlock()
-		if fn != nil {
-			return fn(trimmed[i+1:])
+	// A scheme name sits flush against its colon: "trace :x" is no trace.
+	if i := strings.IndexByte(trimmed, ':'); i > 0 && strings.TrimSpace(trimmed[:i]) == trimmed[:i] {
+		if _, sc, ok := schemes.Lookup(trimmed[:i]); ok {
+			return sc.parse(trimmed[i+1:])
 		}
 	}
-	key := strings.ToLower(trimmed)
-	regMu.RLock()
-	w, ok := regKeys[key]
-	regMu.RUnlock()
+	_, w, ok := workloads.Lookup(trimmed)
 	if !ok {
 		return nil, fmt.Errorf("workload: unknown workload %q (want %s, an alias, trace:<path>, or a registered scheme)",
 			s, strings.Join(Names(), " | "))

@@ -5,25 +5,23 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"nocout/internal/registry"
 )
 
-// snapshotRegistry lets a test register throwaway workloads and restore
-// the package state afterwards.
+// snapshotRegistry lets a test register throwaway workloads: it swaps in
+// a copy of the registry, rebuilt in registration order, and restores
+// the original on cleanup.
 func snapshotRegistry(t *testing.T) {
 	t.Helper()
-	regMu.Lock()
-	savedList := append([]Workload(nil), regList...)
-	savedKeys := map[string]Workload{}
-	for k, v := range regKeys {
-		savedKeys[k] = v
+	saved := workloads
+	workloads = registry.New[uint8, Workload]("workload", "workload")
+	for _, w := range saved.All() {
+		if _, err := workloads.Register(w); err != nil {
+			t.Fatal(err)
+		}
 	}
-	regMu.Unlock()
-	t.Cleanup(func() {
-		regMu.Lock()
-		regList = savedList
-		regKeys = savedKeys
-		regMu.Unlock()
-	})
+	t.Cleanup(func() { workloads = saved })
 }
 
 func TestRegistryBuiltins(t *testing.T) {
@@ -80,7 +78,7 @@ func TestParseTraceScheme(t *testing.T) {
 	if err := RecordFile(path, Synth(MapReduceC), 2, 100, 1); err != nil {
 		t.Fatal(err)
 	}
-	w, err := Parse(TraceScheme + path)
+	w, err := Parse("trace:" + path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,6 +87,13 @@ func TestParseTraceScheme(t *testing.T) {
 	}
 	if _, err := Parse("trace:/no/such/file.noctrace"); err == nil {
 		t.Fatal("missing trace file must error")
+	}
+	// The scheme is case-insensitive but must sit flush against its colon.
+	if w, err := Parse(" TRACE:" + path); err != nil || w.Name() != "MapReduce-C" {
+		t.Fatalf("Parse(TRACE:...) = (%v, %v)", w, err)
+	}
+	if _, err := Parse("trace :" + path); err == nil || !strings.Contains(err.Error(), "unknown workload") {
+		t.Fatalf(`Parse("trace :...") = %v, want an unknown-workload error`, err)
 	}
 }
 

@@ -373,20 +373,12 @@ func abs(v int) int {
 	return v
 }
 
-// Defaults returns the registered default instances in registration
-// order — handy for -list style tooling.
-func Defaults() []*Open {
-	out := make([]*Open, len(defaults))
-	copy(out, defaults)
-	return out
-}
-
-var defaults []*Open
-
 func init() {
-	workload.MustRegisterScheme(Scheme, func(spec string) (workload.Workload, error) {
+	if err := workload.RegisterScheme(Scheme, func(spec string) (workload.Workload, error) {
 		return Parse(spec)
-	})
+	}); err != nil {
+		panic(err)
+	}
 	for _, d := range []struct {
 		name    string
 		aliases []string
@@ -396,11 +388,9 @@ func init() {
 		{"Open MMPP", []string{"open-mmpp"}, Config{Arrival: "mmpp"}},
 		{"Open Burst", []string{"open-burst"}, Config{Arrival: "burst"}},
 	} {
-		o := mustNew(d.cfg).Named(d.name, d.aliases...)
-		if err := workload.Register(o); err != nil {
+		if err := workload.Register(mustNew(d.cfg).Named(d.name, d.aliases...)); err != nil {
 			panic(err)
 		}
-		defaults = append(defaults, o)
 	}
 }
 

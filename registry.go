@@ -49,14 +49,7 @@ func RegisterDesign(o Organization) (Design, error) { return chip.RegisterOrgani
 
 // Designs returns every registered design in registration order: the
 // paper's four first, then Torus, CMesh, Crossbar, then user registrations.
-func Designs() []Design {
-	n := len(chip.Organizations())
-	out := make([]Design, n)
-	for i := range out {
-		out[i] = Design(i)
-	}
-	return out
-}
+func Designs() []Design { return chip.Designs() }
 
 // OrganizationOf resolves a design handle to its registered organization;
 // unknown designs are a hard error.
@@ -126,14 +119,7 @@ func RegisterHierarchy(h Hierarchy) (HierarchyID, error) { return chip.RegisterH
 // Hierarchies returns every registered hierarchy handle in registration
 // order: SharedNUCA first, then XOR-placement, region-affine, PrivateLLC,
 // Clustered, then user registrations.
-func Hierarchies() []HierarchyID {
-	n := len(chip.Hierarchies())
-	out := make([]HierarchyID, n)
-	for i := range out {
-		out[i] = HierarchyID(i)
-	}
-	return out
-}
+func Hierarchies() []HierarchyID { return chip.Hierarchies() }
 
 // HierarchyOf resolves a hierarchy handle to its registered hierarchy;
 // unknown hierarchies are a hard error.
